@@ -175,8 +175,8 @@ pub fn e6_space() -> Table {
     t
 }
 
-/// The E4 cell the criterion benches time: one `DFTNO` stabilization over
-/// the golden substrate on a sparse random graph.
+/// The E4 cell: one `DFTNO` stabilization over the golden substrate on
+/// a sparse random graph.
 pub fn dftno_cell(n: usize) -> CellSpec {
     CellSpec {
         topology: GeneratorSpec::RandomSparse { extra_per_node: 2 },
@@ -187,8 +187,8 @@ pub fn dftno_cell(n: usize) -> CellSpec {
     }
 }
 
-/// The E5 cell the criterion benches time: one `STNO` stabilization over
-/// a frozen tree of the given family.
+/// The E5 cell: one `STNO` stabilization over a frozen tree of the given
+/// family.
 pub fn stno_cell(topology: GeneratorSpec, n: usize) -> CellSpec {
     CellSpec {
         topology,

@@ -38,9 +38,8 @@
 //! * the `sync_rounds` section ([`sync_round_bench`]) measures the
 //!   opposite regime — dense synchronous rounds from random
 //!   configurations — across the [`SYNC_CONFIGS`] executor matrix
-//!   (node-dirty serial baseline, sharded-serial, the pooled executor
-//!   at 2/4/8 shards, and the legacy scoped spawn-per-phase executor
-//!   as an A/B row) on torus / random-tree / hubs, verifies every
+//!   (node-dirty serial baseline, sharded-serial, and the pooled
+//!   executor at 2/4/8 shards) on torus / random-tree / hubs, verifies every
 //!   configuration trace-identical, gates the sharded-serial row at
 //!   zero heap operations (the delta-staging acceptance criterion),
 //!   every pooled row at **zero thread spawns** inside the timed
@@ -59,7 +58,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sno_core::dftno::Dftno;
 use sno_engine::daemon::{CentralRoundRobin, Synchronous};
-use sno_engine::{Counter, CounterMeter, EngineMode, Network, Simulation, SyncExecutor};
+use sno_engine::{Counter, CounterMeter, EngineMode, Network, Simulation};
 use sno_graph::{GeneratorSpec, NodeId};
 use sno_token::OracleToken;
 
@@ -383,9 +382,7 @@ pub struct SyncConfig {
     /// baseline every speedup in the document divides by), `serial`
     /// (`SyncSharded` at one shard: the sharded *algorithm* without
     /// parallelism — its win over node-serial is the composed port
-    /// cache), `pooled` (the persistent worker pool), or `scoped` (the
-    /// legacy spawn-per-phase executor, kept as the A/B row that prices
-    /// what the pool saves).
+    /// cache), or `pooled` (the persistent worker pool).
     pub executor: &'static str,
     /// Shard count (1 = the serial step path).
     pub shards: usize,
@@ -395,7 +392,7 @@ pub struct SyncConfig {
 
 /// The executor × shard matrix the synchronous-round bench sweeps per
 /// topology family.
-pub const SYNC_CONFIGS: [SyncConfig; 6] = [
+pub const SYNC_CONFIGS: [SyncConfig; 5] = [
     SyncConfig {
         executor: "node-serial",
         shards: 1,
@@ -418,11 +415,6 @@ pub const SYNC_CONFIGS: [SyncConfig; 6] = [
     },
     SyncConfig {
         executor: "pooled",
-        shards: 8,
-        threads: 8,
-    },
-    SyncConfig {
-        executor: "scoped",
         shards: 8,
         threads: 8,
     },
@@ -512,11 +504,6 @@ pub fn sync_round_bench(n: usize, restarts: u64, steps_per_restart: u64) -> Vec<
             } else {
                 sim.set_mode(EngineMode::SyncSharded);
                 sim.configure_sync_sharding(cfg.shards, cfg.threads);
-                sim.set_sync_executor(if cfg.executor == "scoped" {
-                    SyncExecutor::Scoped
-                } else {
-                    SyncExecutor::Pooled
-                });
             }
             let mut daemon = Synchronous::new();
             // Warm-up restart (untimed): stash, records, lists — and the
@@ -1309,7 +1296,6 @@ mod tests {
         assert!(json.contains("\"topology\":\"hubs:3\""));
         assert!(json.contains("\"executor\":\"node-serial\""));
         assert!(json.contains("\"executor\":\"pooled\""));
-        assert!(json.contains("\"executor\":\"scoped\""));
         assert!(json.contains("\"thread_spawns\""));
         assert!(json.contains("\"stage_clones\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

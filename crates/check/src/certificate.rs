@@ -29,9 +29,7 @@ use sno_engine::Enumerable;
 use sno_telemetry::escape_json;
 
 use crate::analysis::Lasso;
-use crate::explore::{
-    kind_name, ExploreResult, KIND_CORRUPT, KIND_CRASH, KIND_PROGRAM, KIND_SEED,
-};
+use crate::explore::{kind_name, ExploreResult, KIND_CORRUPT, KIND_CRASH, KIND_PROGRAM, KIND_SEED};
 use crate::model::Model;
 use crate::symmetry::{SymElem, SymmetryTable};
 

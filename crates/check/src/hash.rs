@@ -108,7 +108,11 @@ mod tests {
         for key in 0u64..1024 {
             low_bits.insert(hash_of(&key) & 0xFF);
         }
-        assert!(low_bits.len() > 200, "got {} distinct buckets", low_bits.len());
+        assert!(
+            low_bits.len() > 200,
+            "got {} distinct buckets",
+            low_bits.len()
+        );
     }
 
     #[test]

@@ -61,12 +61,12 @@ pub mod space;
 pub mod symmetry;
 
 pub use analysis::{check_round_robin, check_unfair, Lasso, MoveStep, Verdict};
-pub use hash::{FxBuildHasher, FxHasher};
 pub use certificate::{
     counterexample_for_closure, counterexample_from_lasso, counterexample_to_state, Certificate,
     Counterexample, PropertyReport, TraceStep, WorldInfo,
 };
 pub use explore::{explore, kind_name, ExploreResult, Meta};
+pub use hash::{FxBuildHasher, FxHasher};
 pub use model::{
     CheckOptions, CheckSpec, FaultClass, Invariant, Liveness, Model, PredFn, Seeds, World,
 };

@@ -331,7 +331,13 @@ impl<'a, P: Enumerable> Model<'a, P> {
     /// Packs the key of the **canonical representative** of
     /// `(world, budget_left, config)`'s orbit. `digits` is reusable
     /// scratch. This is the key the explorer stores and shards by.
-    pub fn canon_key(&self, world: u32, budget_left: u32, config: u64, digits: &mut Vec<u64>) -> u64 {
+    pub fn canon_key(
+        &self,
+        world: u32,
+        budget_left: u32,
+        config: u64,
+        digits: &mut Vec<u64>,
+    ) -> u64 {
         let c = self.sym[world as usize].canon(config, digits);
         self.key(world, budget_left, c)
     }

@@ -467,8 +467,7 @@ where
         let n = ctx.n_bound as u64;
         let deg = ctx.degree;
         let labelings = n.pow(deg as u32);
-        let mut out =
-            Vec::with_capacity(toks.len() * (n * n * labelings) as usize);
+        let mut out = Vec::with_capacity(toks.len() * (n * n * labelings) as usize);
         for token in &toks {
             for eta in 0..n as u32 {
                 for max in 0..n as u32 {

@@ -58,9 +58,7 @@ pub use protocol::{
     PortVerdict, Protocol, ReadScope, Scratch, SpaceMeasured, StateTxn, TouchRecord, TouchScope,
     WriteTxn,
 };
-pub use sim::{
-    EngineMode, RunResult, Simulation, StepOutcome, SyncExecutor, DEFAULT_SYNC_THRESHOLD,
-};
+pub use sim::{EngineMode, RunResult, Simulation, StepOutcome, DEFAULT_SYNC_THRESHOLD};
 pub use sno_graph::{CsrDelta, TopologyEvent, TopologyRepair};
 pub use store::{ConfigStore, DeltaTxn, ShardTxn};
 

@@ -73,8 +73,8 @@
 //! a dense round — guard **resolution** of the selected writers, the
 //! **write phase** of read-free writers, and the dirty-node guard
 //! **re-evaluation** — in parallel over contiguous, degree-balanced
-//! graph shards ([`sno_graph::Partition`]), via `sno-fleet`'s scoped
-//! worker maps. Everything order-sensitive (daemon selection, the
+//! graph shards ([`sno_graph::Partition`]), on a persistent `sno-fleet`
+//! [`WorkerPool`]. Everything order-sensitive (daemon selection, the
 //! reader write sub-phase, the enabled-list fold) stays serial and runs
 //! in NodeId order, and per-shard results fold back in shard (= NodeId)
 //! order, so traces are **byte-identical for any shard and thread
@@ -140,28 +140,11 @@ pub enum EngineMode {
 }
 
 /// Writers (or dirty nodes) below this count take the serial path even
-/// in [`EngineMode::SyncSharded`] — spawning scoped workers costs more
-/// than a sparse step does. Tunable per simulation via
-/// [`Simulation::set_sync_parallel_threshold`] (tests and benches pin it
-/// to 0 to force the parallel phases on small graphs).
+/// in [`EngineMode::SyncSharded`] — a phase handoff to the pool's
+/// workers costs more than a sparse step does. Tunable per simulation
+/// via [`Simulation::set_sync_parallel_threshold`] (tests and benches pin
+/// it to 0 to force the parallel phases on small graphs).
 pub const DEFAULT_SYNC_THRESHOLD: usize = 192;
-
-/// How [`EngineMode::SyncSharded`]'s parallel phases are driven.
-///
-/// Both executors run the identical phase bodies and produce
-/// byte-identical traces and counters; they differ only in thread
-/// lifecycle cost. The bench harness runs them A/B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncExecutor {
-    /// A persistent [`WorkerPool`]: long-lived workers parked between
-    /// phases, epoch/barrier handoff, zero thread spawns after warmup.
-    /// The default.
-    #[default]
-    Pooled,
-    /// Scoped `std::thread` spawn-and-join per phase (the pre-pool
-    /// behavior, kept as the A/B baseline).
-    Scoped,
-}
 
 /// What happened in one computation step.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,10 +279,8 @@ pub struct Simulation<'a, P: Protocol, M: Meter = NoopMeter> {
     /// The degree-balanced contiguous partition (`None` until sharding
     /// is configured with more than one shard).
     sync_partition: Option<Partition>,
-    /// Worker threads for the parallel phases (1 = run them inline).
-    sync_threads: usize,
     /// Minimum writers (or dirty nodes) before a phase goes parallel;
-    /// below it the serial path is cheaper than spawning.
+    /// below it the serial path is cheaper than a phase handoff.
     sync_threshold: usize,
     /// Per-shard writer buckets of the current step's parallel
     /// resolution: `(node, daemon action index)`.
@@ -325,15 +306,11 @@ pub struct Simulation<'a, P: Protocol, M: Meter = NoopMeter> {
     shard_writers: Vec<Vec<u32>>,
     /// Per-shard dirty-node buckets for the parallel re-evaluation.
     shard_dirty: Vec<Vec<u32>>,
-    /// The persistent worker pool driving the parallel phases under
-    /// [`SyncExecutor::Pooled`]. Shared (`Arc`) so a lab campaign can
-    /// run many cells on one pool; created by
-    /// [`Simulation::configure_sync_sharding`] when both shards and
-    /// threads exceed 1.
-    sync_pool: Option<Arc<WorkerPool>>,
-    /// Which executor drives the parallel phases (A/B-tested by the
-    /// bench harness; identical semantics).
-    sync_executor: SyncExecutor,
+    /// The persistent worker pool driving the parallel phases; its
+    /// thread count is the phases' worker count (1 = the inline pool,
+    /// which runs them on the caller and never spawns). Shared (`Arc`)
+    /// so a lab campaign can run many cells on one pool.
+    sync_pool: Arc<WorkerPool>,
     // --- Sharded port-dirty pass scratch (EngineMode::SyncSharded with
     // a port-separable protocol): the writer-side refresh and the
     // reader-side port re-evaluations run shard-parallel, bridged by a
@@ -472,7 +449,6 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
             txn_recs: Vec::new(),
             pending_profiles: Vec::new(),
             sync_partition: None,
-            sync_threads: 1,
             sync_threshold: DEFAULT_SYNC_THRESHOLD,
             shard_jobs: Vec::new(),
             shard_resolved: Vec::new(),
@@ -482,8 +458,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
             shard_recs: Vec::new(),
             shard_writers: Vec::new(),
             shard_dirty: Vec::new(),
-            sync_pool: None,
-            sync_executor: SyncExecutor::default(),
+            sync_pool: Arc::new(WorkerPool::new(1)),
             shard_port_jobs: Vec::new(),
             shard_port_pos: Vec::new(),
             shard_port_out: Vec::new(),
@@ -904,27 +879,23 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
 
     /// Arms [`EngineMode::SyncSharded`]'s parallel phases: partition the
     /// graph into `shards` contiguous degree-balanced ranges
-    /// ([`Partition::degree_balanced`]) and run dense rounds on up to
-    /// `threads` fleet workers. With `shards <= 1` (the default) the
-    /// mode stays fully serial.
+    /// ([`Partition::degree_balanced`]) and run dense rounds on a
+    /// [`WorkerPool`] of `threads` participants. With `shards <= 1` (the
+    /// default) the mode stays fully serial.
     ///
     /// Safe at any time; affects only how much a step costs, never what
     /// it computes — traces are byte-identical for every `(shards,
     /// threads)` choice.
     pub fn configure_sync_sharding(&mut self, shards: usize, threads: usize) {
-        let threads = threads.max(1);
         // Reuse the existing pool when the thread count matches (its
-        // workers are warm); otherwise build a fresh one. Serial
-        // configurations carry no pool at all.
-        let pool = if shards > 1 && threads > 1 {
-            match self.sync_pool.take() {
-                Some(p) if p.threads() == threads => Some(p),
-                _ => Some(Arc::new(WorkerPool::new(threads))),
-            }
+        // workers are warm); otherwise build a fresh one, which spawns
+        // nothing until its first parallel phase.
+        let pool = if self.sync_pool.threads() == threads.max(1) {
+            Arc::clone(&self.sync_pool)
         } else {
-            None
+            Arc::new(WorkerPool::new(threads))
         };
-        self.configure_sync_sharding_impl(shards, threads, pool);
+        self.configure_sync_sharding_with_pool(shards, pool);
     }
 
     /// [`Simulation::configure_sync_sharding`] with an externally shared
@@ -933,18 +904,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
     /// same parked workers — concurrent callers serialize whole phases
     /// inside the pool, so this is always safe.
     pub fn configure_sync_sharding_with_pool(&mut self, shards: usize, pool: Arc<WorkerPool>) {
-        let threads = pool.threads();
-        self.configure_sync_sharding_impl(shards, threads, Some(pool));
-    }
-
-    fn configure_sync_sharding_impl(
-        &mut self,
-        shards: usize,
-        threads: usize,
-        pool: Option<Arc<WorkerPool>>,
-    ) {
         let shards = shards.clamp(1, self.net.node_count());
-        self.sync_threads = threads;
         self.sync_pool = pool;
         if shards > 1 {
             let p = Partition::degree_balanced(self.net.graph(), shards);
@@ -965,18 +925,6 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
         } else {
             self.sync_partition = None;
         }
-    }
-
-    /// Switches between the persistent-pool and scoped-spawn executors
-    /// for the sharded phases (identical semantics; see
-    /// [`SyncExecutor`]). The bench harness A/Bs them.
-    pub fn set_sync_executor(&mut self, executor: SyncExecutor) {
-        self.sync_executor = executor;
-    }
-
-    /// The executor currently driving the sharded phases.
-    pub fn sync_executor(&self) -> SyncExecutor {
-        self.sync_executor
     }
 
     /// Cumulative boundary-exchange statistics of the sharded port-dirty
@@ -1298,7 +1246,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
         // steps; sparse ones run the identical serial code below.
         let sharded_par = self.mode == EngineMode::SyncSharded
             && multi
-            && self.sync_threads > 1
+            && self.sync_pool.threads() > 1
             && self.sync_partition.is_some()
             && choices.len() >= self.sync_threshold;
         self.scratch_chosen.clear();
@@ -1523,7 +1471,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
                 self.port_dirty_pass(&mut enabled, &pending);
             }
         } else if self.mode == EngineMode::SyncSharded
-            && self.sync_threads > 1
+            && self.sync_pool.threads() > 1
             && self.sync_partition.is_some()
             && dirty.len() >= self.sync_threshold
             && dirty.len() * 4 >= self.net.node_count()
@@ -1534,7 +1482,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
             // the sorted list serially — both deterministic in the
             // counts alone, so the schedule cannot leak into the trace.
             // Both conditions matter: the absolute threshold amortizes
-            // the scoped-spawn cost, and the density ratio (the same
+            // the phase handoff, and the density ratio (the same
             // test the serial dense path uses) keeps a large graph's
             // sparse steps on the o(n) incremental sorted-list path
             // instead of paying this branch's O(n) rebuild.
@@ -1872,10 +1820,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
 
         let csr_bounds = csr_offsets(g, bounds);
         let word_bounds: Vec<usize> = bounds.iter().map(|&b| b as usize * stride).collect();
-        let pool = match self.sync_executor {
-            SyncExecutor::Pooled => self.sync_pool.as_deref(),
-            SyncExecutor::Scoped => None,
-        };
+        let pool = &*self.sync_pool;
 
         // Phase "port-refresh": writers, parallel by writer shard.
         let phase_start = tracing.then(Instant::now);
@@ -1917,7 +1862,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
                     },
                 )
                 .collect();
-            drive_shards(pool, self.sync_threads, &mut items, |_, it| {
+            pool.run_mut(&mut items, |_, it| {
                 let t0 = tracing.then(Instant::now);
                 let n_lo = it.chunk.lo;
                 let c_lo = it.chunk.csr_lo;
@@ -2076,7 +2021,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
                     },
                 )
                 .collect();
-            drive_shards(pool, self.sync_threads, &mut items, |_, it| {
+            pool.run_mut(&mut items, |_, it| {
                 let t0 = tracing.then(Instant::now);
                 let n_lo = it.chunk.lo;
                 let c_lo = it.chunk.csr_lo;
@@ -2220,11 +2165,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
                 span: None,
             })
             .collect();
-        let pool = match self.sync_executor {
-            SyncExecutor::Pooled => self.sync_pool.as_deref(),
-            SyncExecutor::Scoped => None,
-        };
-        drive_shards(pool, self.sync_threads, &mut items, |_, it| {
+        self.sync_pool.run_mut(&mut items, |_, it| {
             let t0 = tracing.then(Instant::now);
             for &(node, action_index) in it.jobs {
                 let node = NodeId::new(node as usize);
@@ -2419,11 +2360,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
                 span: None,
             })
             .collect();
-        let pool = match self.sync_executor {
-            SyncExecutor::Pooled => self.sync_pool.as_deref(),
-            SyncExecutor::Scoped => None,
-        };
-        drive_shards(pool, self.sync_threads, &mut items, |_, it| {
+        self.sync_pool.run_mut(&mut items, |_, it| {
             let t0 = tracing.then(Instant::now);
             let lo = it.lo;
             for (j, &k) in it.ks.iter().enumerate() {
@@ -2495,11 +2432,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
                 span: None,
             })
             .collect();
-        let pool = match self.sync_executor {
-            SyncExecutor::Pooled => self.sync_pool.as_deref(),
-            SyncExecutor::Scoped => None,
-        };
-        drive_shards(pool, self.sync_threads, &mut items, |_, it| {
+        self.sync_pool.run_mut(&mut items, |_, it| {
             let t0 = tracing.then(Instant::now);
             let lo = it.lo;
             for &d in it.nodes {
@@ -2696,24 +2629,6 @@ struct EvalShard<'x, A> {
     /// The worker's busy window, captured only while a tracer is
     /// attached.
     span: Option<(Instant, Instant)>,
-}
-
-/// Runs one barrier-synchronized phase over per-shard work items:
-/// through the persistent [`WorkerPool`] when one is wired (no thread
-/// spawns on the steady path), or through scoped spawn-per-phase
-/// threads otherwise — the legacy executor, kept callable for A/B
-/// benchmarking via [`SyncExecutor::Scoped`].
-fn drive_shards<T, F>(pool: Option<&WorkerPool>, threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    match pool {
-        Some(pool) => pool.run_mut(items, f),
-        None => {
-            sno_fleet::parallel_map_mut(items, threads, f);
-        }
-    }
 }
 
 /// CSR slot offsets of a partition's node bounds. Shards own contiguous

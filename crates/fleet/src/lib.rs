@@ -1,59 +1,57 @@
 //! # sno-fleet
 //!
-//! Deterministic parallel maps over scoped `std::thread` workers — the
-//! workspace's stand-in for `rayon` (this build environment cannot pull
-//! crates from a registry; see ROADMAP's dependency-shims item).
+//! The workspace's one parallel primitive: [`WorkerPool`], a persistent
+//! barrier-synchronized pool of `std::thread` workers — the stand-in for
+//! `rayon` (this build environment cannot pull crates from a registry;
+//! see ROADMAP's dependency-shims item).
 //!
-//! Two consumers share this crate:
+//! Three consumers share it:
 //!
-//! * `sno-lab`'s campaign runner fans scenario cells (and seed
-//!   sub-ranges of heavy cells) out over [`parallel_map`];
+//! * `sno-lab`'s campaign runner fans seed chunks of scenario cells out
+//!   over one pool per campaign;
 //! * `sno-engine`'s `SyncSharded` executor runs the per-shard phases of
 //!   a synchronous round — guard resolution, delta-staged writes, dirty
-//!   re-evaluation — over [`parallel_map_mut`], whose work items carry
-//!   `&mut` shard state (configuration chunks, scratch arenas, dirty
-//!   buckets).
+//!   re-evaluation — on a pool that stays warm across steps;
+//! * `sno-check` drives its sharded breadth-first search levels.
 //!
-//! Work items are claimed from a shared cursor, so threads stay busy
-//! when item costs are skewed, and results are returned **in input
-//! order** — the parallel schedule can never leak into a report or a
-//! simulation trace.
+//! [`WorkerPool::run_mut`] hands each work item to exactly one
+//! participant by `&mut`, so items carry exclusive state (configuration
+//! chunks, scratch arenas, result slots) without locks. Items are
+//! claimed from a shared cursor, so threads stay busy when item costs
+//! are skewed; callers that want results write them into their own
+//! item, which keeps them **in input order** by construction — the
+//! parallel schedule can never leak into a report or a simulation trace.
 //!
 //! # Panic handling
 //!
-//! A worker panic is caught per item, the fleet drains (no torn joins),
-//! and the panic is re-raised on the caller's thread with the failing
-//! item's identity attached. [`parallel_map_labeled`] lets the caller
-//! name items in domain terms (the lab names the scenario cell and seed
-//! range), so a campaign failure points at the cell that died instead of
-//! a bare `Any { .. }` join error.
+//! A worker panic is caught per item, the phase drains (no stranded
+//! barrier), and the panic is re-raised on the caller's thread with the
+//! failing item's identity attached: `shard {index}` by default, or a
+//! domain name through [`WorkerPool::run_mut_labeled`] (the lab names the
+//! scenario cell and seed range), so a failure points at the cell that
+//! died instead of a bare `Any { .. }` join error.
 //!
-//! # Persistent pools
+//! # Spawn accounting
 //!
-//! The scoped maps spawn fresh OS threads per call — fine for campaign
-//! cells that run for seconds, ruinous for a synchronous-round executor
-//! that runs three parallel phases per *step*. [`WorkerPool`] keeps
-//! long-lived workers parked on a condvar and hands each phase to them
-//! through an epoch/barrier handshake; [`WorkerPool::run_mut`] has the
-//! same contract as [`parallel_map_mut`] (exclusive `&mut` hand-out,
-//! per-item panic capture, labeled re-raise after the barrier) with
-//! zero thread spawns after warmup. [`thread_spawns`] counts every OS
-//! thread the crate has ever started, so benches can assert that.
+//! Workers start lazily on a pool's first non-empty phase and are never
+//! respawned. [`WorkerPool::spawns`] counts the threads one pool has
+//! started, so a test can pin it exactly while other tests run
+//! concurrently; [`thread_spawns`] counts every OS thread the crate has
+//! ever started, for benches that time a whole process window.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 mod pool;
 
 pub use pool::WorkerPool;
 
-/// Every OS thread this crate has ever spawned (scoped maps and pool
-/// workers alike). Monotonic; benches read the delta across a timed
-/// window to prove a hot loop spawns nothing.
+/// Every OS thread this crate has ever spawned (the workers of every
+/// pool). Monotonic; benches read the delta across a timed window to
+/// prove a hot loop spawns nothing.
 static THREAD_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
 /// Total OS threads spawned by this crate since process start.
@@ -82,8 +80,8 @@ pub fn default_threads() -> usize {
 /// Public so fleet *callers* can enrich a payload before re-raising it —
 /// the lab's campaign driver catches a per-seed panic, appends the
 /// failing cell's telemetry counter snapshot, and re-panics with the
-/// combined message, which then flows through [`parallel_map_labeled`]'s
-/// own labeling unchanged.
+/// combined message, which then flows through
+/// [`WorkerPool::run_mut_labeled`]'s own labeling unchanged.
 pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -112,249 +110,81 @@ pub(crate) fn reraise(captured: CapturedPanic) -> ! {
     )))
 }
 
-/// Applies `f` to every item on up to `threads` worker threads and
-/// returns the results in input order.
-///
-/// `f` receives the item index alongside the item. With `threads <= 1`
-/// the map runs inline on the caller's thread.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the caller's thread, with the
-/// failing item index attached (use [`parallel_map_labeled`] to attach
-/// a domain-level identity instead).
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_labeled(items, threads, f, |i, _| format!("item {i}"))
-}
-
-/// [`parallel_map`] with a caller-provided item-identity function,
-/// evaluated only when that item's worker panics.
-///
-/// The lab's campaign runner labels items with their scenario cell and
-/// seed sub-range, so a panicking run is attributable without re-running
-/// the campaign single-threaded.
-pub fn parallel_map_labeled<T, R, F, L>(items: &[T], threads: usize, f: F, label: L) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    L: Fn(usize, &T) -> String + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, items.len());
-    if workers == 1 {
-        // Inline: panics propagate naturally with full context.
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let poisoned = AtomicBool::new(false);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    let failure: Mutex<Option<CapturedPanic>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            note_spawn();
-            scope.spawn(|| loop {
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                    Ok(r) => results
-                        .lock()
-                        .expect("fleet result store poisoned")
-                        .push((i, r)),
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        let mut slot = failure.lock().expect("fleet failure store poisoned");
-                        if slot.is_none() {
-                            *slot = Some(CapturedPanic {
-                                index: i,
-                                label: label(i, &items[i]),
-                                payload,
-                            });
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(captured) = failure.into_inner().expect("fleet failure store poisoned") {
-        reraise(captured);
-    }
-    let mut indexed = results.into_inner().expect("fleet result store poisoned");
-    assert_eq!(indexed.len(), items.len(), "every item produced a result");
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`parallel_map`] over work items the workers **mutate**: each item is
-/// handed to exactly one worker by `&mut`, so items can carry exclusive
-/// shard state (configuration chunks, scratch arenas, output buffers)
-/// without locks. Results are returned in input order.
-///
-/// This is the engine's sharded-round primitive: a synchronous round
-/// builds one work item per graph shard and the fleet drives them with
-/// whatever thread count is configured — by construction the items are
-/// disjoint, so the schedule cannot affect the outcome.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the caller's thread with the
-/// failing item index attached.
-pub fn parallel_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, items.len());
-    if workers == 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let n = items.len();
-    // Exclusive hand-out: workers claim `(index, &mut item)` pairs from a
-    // mutex-guarded iterator — the lock is held only for the claim, never
-    // for the work.
-    let queue: Mutex<std::iter::Enumerate<std::slice::IterMut<'_, T>>> =
-        Mutex::new(items.iter_mut().enumerate());
-    let poisoned = AtomicBool::new(false);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    let failure: Mutex<Option<CapturedPanic>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            note_spawn();
-            scope.spawn(|| loop {
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                let claimed = queue.lock().expect("fleet queue poisoned").next();
-                let Some((i, item)) = claimed else {
-                    break;
-                };
-                match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(r) => results
-                        .lock()
-                        .expect("fleet result store poisoned")
-                        .push((i, r)),
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        let mut slot = failure.lock().expect("fleet failure store poisoned");
-                        if slot.is_none() {
-                            *slot = Some(CapturedPanic {
-                                index: i,
-                                label: format!("shard {i}"),
-                                payload,
-                            });
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(captured) = failure.into_inner().expect("fleet failure store poisoned") {
-        reraise(captured);
-    }
-    let mut indexed = results.into_inner().expect("fleet result store poisoned");
-    // A poisoned fleet never reaches here; a healthy one covered all items.
-    assert_eq!(indexed.len(), n, "every item produced a result");
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = parallel_map(&items, 8, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_threaded_fallback_matches() {
-        let items: Vec<u64> = (0..40).collect();
-        let seq = parallel_map(&items, 1, |_, &x| x + 1);
-        let par = parallel_map(&items, 4, |_, &x| x + 1);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<u32> = parallel_map(&[] as &[u8], 4, |_, _| 1);
-        assert!(out.is_empty());
-        let out: Vec<u32> = parallel_map_mut(&mut [] as &mut [u8], 4, |_, _| 1);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn skewed_work_is_shared() {
-        let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&items, 4, |_, &x| {
-            if x == 0 {
-                (0..100_000u64).sum::<u64>() % 7 + x
-            } else {
-                x
-            }
-        });
-        assert_eq!(out[1..], items[1..]);
-    }
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
     }
 
-    #[test]
-    fn mut_items_are_mutated_exclusively_and_ordered() {
-        let mut items: Vec<Vec<u32>> = (0..33).map(|i| vec![i]).collect();
-        let out = parallel_map_mut(&mut items, 4, |i, v| {
-            v.push(i as u32 + 100);
-            v.iter().sum::<u32>()
+    /// The lab's result-slot pattern: each item owns its output.
+    fn doubled(pool: &WorkerPool, items: &[usize]) -> Vec<usize> {
+        let mut slots: Vec<(usize, usize)> = items.iter().map(|&x| (x, 0)).collect();
+        pool.run_mut(&mut slots, |i, (x, out)| {
+            assert_eq!(i, *x);
+            *out = *x * 2;
         });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(v, &[i as u32, i as u32 + 100]);
+        slots.into_iter().map(|(_, out)| out).collect()
+    }
+
+    #[test]
+    fn preserves_input_order() {
+        let items: Vec<usize> = (0..257).collect();
+        let out = doubled(&WorkerPool::new(8), &items);
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn single_threaded_fallback_matches() {
+        let items: Vec<usize> = (0..40).collect();
+        assert_eq!(
+            doubled(&WorkerPool::new(1), &items),
+            doubled(&WorkerPool::new(4), &items)
+        );
+    }
+
+    #[test]
+    fn empty_input_is_fine() {
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            pool.run_mut_labeled(
+                &mut [] as &mut [u8],
+                |_, _| unreachable!(),
+                |_, _| unreachable!(),
+            );
+            assert_eq!(pool.spawns(), 0, "an empty phase starts no workers");
         }
-        assert_eq!(out[3], 3 + 103);
+    }
+
+    #[test]
+    fn skewed_work_is_shared() {
+        let pool = WorkerPool::new(4);
+        let mut items: Vec<u64> = (0..64).collect();
+        pool.run_mut(&mut items, |_, x| {
+            if *x == 0 {
+                *x = (0..100_000u64).sum::<u64>() % 7;
+            }
+        });
+        assert_eq!(items[0], 4_999_950_000 % 7);
+        assert!(items[1..].iter().copied().eq(1..64));
     }
 
     #[test]
     fn worker_panics_carry_the_item_label() {
-        let items: Vec<u32> = (0..16).collect();
+        let pool = WorkerPool::new(4);
+        let mut items: Vec<u32> = (0..16).collect();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_labeled(
-                &items,
-                4,
-                |_, &x| {
-                    if x == 7 {
+            pool.run_mut_labeled(
+                &mut items,
+                |_, x| {
+                    if *x == 7 {
                         panic!("run diverged");
                     }
-                    x
                 },
-                |_, &x| format!("cell seed={x}"),
+                |_, x| format!("cell seed={x}"),
             )
         }))
         .unwrap_err();
@@ -364,29 +194,16 @@ mod tests {
     }
 
     #[test]
-    fn mut_worker_panics_name_the_shard() {
-        let mut items: Vec<u32> = (0..8).collect();
+    fn inline_fallback_panics_propagate_plainly() {
+        // The inline pool re-raises on the caller's thread with the same
+        // label as the parallel path, and never starts a worker.
+        let pool = WorkerPool::new(1);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_mut(&mut items, 4, |_, x| {
-                if *x == 5 {
-                    panic!("bad shard state");
-                }
-                *x
-            })
+            pool.run_mut(&mut [1u8], |_, _| panic!("inline"))
         }))
         .unwrap_err();
         let msg = payload_message(err.as_ref());
-        assert!(msg.contains("shard 5"), "{msg}");
-        assert!(msg.contains("bad shard state"), "{msg}");
-    }
-
-    #[test]
-    fn inline_fallback_panics_propagate_plainly() {
-        let items = [1u8];
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map(&items, 1, |_, _| -> u8 { panic!("inline") })
-        }))
-        .unwrap_err();
-        assert!(payload_message(err.as_ref()).contains("inline"));
+        assert!(msg.contains("inline") && msg.contains("shard 0"), "{msg}");
+        assert_eq!(pool.spawns(), 0);
     }
 }

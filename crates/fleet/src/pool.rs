@@ -1,16 +1,14 @@
 //! A persistent barrier-synchronized worker pool.
 //!
-//! [`parallel_map_mut`](crate::parallel_map_mut) spawns and joins a
-//! fresh set of scoped threads on every call. The engine's sharded
-//! synchronous executor calls it three times per *step* (resolve, write,
-//! re-evaluate), so at tens of thousands of steps per second the spawn
-//! sets dominate the phase cost. [`WorkerPool`] keeps `threads - 1`
-//! long-lived workers parked on a condvar; each phase is published to
-//! them as an epoch bump, the caller itself participates in the claim
-//! loop (so `threads = 1` degenerates to a fully inline run with no
-//! workers at all), and the caller blocks on a barrier until every
-//! worker has retired the epoch before the phase's borrows go out of
-//! scope.
+//! The engine's sharded synchronous executor runs three parallel phases
+//! per *step* (resolve, write, re-evaluate); at tens of thousands of
+//! steps per second, spawning threads per phase would dominate the phase
+//! cost. [`WorkerPool`] keeps `threads - 1` long-lived workers parked on
+//! a condvar; each phase is published to them as an epoch bump, the
+//! caller itself participates in the claim loop (so `threads = 1`
+//! degenerates to a fully inline run with no workers at all), and the
+//! caller blocks on a barrier until every worker has retired the epoch
+//! before the phase's borrows go out of scope.
 //!
 //! # Safety story
 //!
@@ -29,7 +27,7 @@
 //!    items are claimed from an atomic cursor; `fetch_add` hands each
 //!    index to exactly one claimant, so the `&mut` references
 //!    materialized from `base.add(i)` are disjoint. `T: Send` is
-//!    required by the public signature, matching `parallel_map_mut`.
+//!    required by the public signature.
 //!
 //! # Panic handling
 //!
@@ -37,9 +35,8 @@
 //! a poisoned flag stops further claims. Crucially every worker still
 //! reports its epoch as finished — a panic never strands the barrier —
 //! and the first captured panic is re-raised on the *caller's* thread
-//! after the barrier, labeled with the failing shard exactly like
-//! `parallel_map_mut`. The pool stays usable afterwards (see the
-//! panic-injection tests).
+//! after the barrier, labeled by the caller's item-label closure. The
+//! pool stays usable afterwards (see the panic-injection tests).
 
 #![allow(unsafe_code)]
 
@@ -87,7 +84,9 @@ struct Shared {
 /// Cloning an `Arc<WorkerPool>` shares the workers; concurrent callers
 /// (e.g. lab cells running on the same pool) serialize whole phases on
 /// an internal mutex, which is deadlock-free because workers never take
-/// that lock.
+/// that lock. A phase body must not start a phase on its *own* pool,
+/// though: the nested call would wait for the phase lock that the outer
+/// call holds across its barrier, and the barrier waits for the body.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     /// Parked worker threads (`threads - 1`; the caller is the last
@@ -103,10 +102,7 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.threads())
-            .field(
-                "spawned",
-                &!self.handles.lock().map(|h| h.is_empty()).unwrap_or(true),
-            )
+            .field("spawns", &self.spawns())
             .finish()
     }
 }
@@ -138,6 +134,18 @@ impl WorkerPool {
         self.workers + 1
     }
 
+    /// The number of OS threads this pool has started: `threads - 1`
+    /// once a non-empty phase has run, 0 before (and always 0 for the
+    /// inline pool). Workers are never respawned, so the count is final
+    /// after the first phase — and, unlike the process-wide
+    /// [`thread_spawns`](crate::thread_spawns), no other pool can move it.
+    pub fn spawns(&self) -> u64 {
+        self.handles
+            .lock()
+            .expect("pool handle store poisoned")
+            .len() as u64
+    }
+
     /// Spawns the parked workers if they are not running yet. Called on
     /// the first phase; a no-op (and spawn-free) afterwards.
     fn ensure_spawned(&self) {
@@ -160,19 +168,33 @@ impl WorkerPool {
     /// participants have retired the phase — the barrier is the point
     /// where the `&mut` borrows are known to be dead again.
     ///
-    /// Items are claimed from a shared cursor so skewed shard costs
-    /// balance, exactly like [`parallel_map_mut`](crate::parallel_map_mut);
-    /// with one participant the phase runs fully inline.
+    /// Items are claimed from a shared cursor so skewed item costs
+    /// balance; with one participant the phase runs fully inline.
+    /// Results belong in the items themselves (a result slot per item),
+    /// which keeps them in input order whatever the schedule.
     ///
     /// # Panics
     ///
-    /// Re-raises the first worker panic on the caller's thread with the
-    /// failing shard index attached, *after* the barrier — a panic
+    /// Re-raises the first worker panic on the caller's thread, *after*
+    /// the barrier, naming the failing item `shard {index}` — a panic
     /// never strands the pool, which stays usable for further phases.
+    /// [`WorkerPool::run_mut_labeled`] names items in domain terms.
     pub fn run_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
+    {
+        self.run_mut_labeled(items, f, |i, _| format!("shard {i}"));
+    }
+
+    /// [`WorkerPool::run_mut`] with a caller-provided item label: a
+    /// panic is re-raised with `label(index, item)` of the failing item
+    /// attached. `label` runs only on a panic.
+    pub fn run_mut_labeled<T, F, L>(&self, items: &mut [T], f: F, label: L)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+        L: Fn(usize, &T) -> String + Sync,
     {
         if items.is_empty() {
             return;
@@ -208,15 +230,19 @@ impl WorkerPool {
             // participant, so this is the only `&mut` to item `i`; the
             // borrow dies before the phase barrier releases the slice.
             let item = unsafe { &mut *base.at(i) };
-            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+            match catch_unwind(AssertUnwindSafe(|| f(i, &mut *item))) {
                 Ok(()) => {}
                 Err(payload) => {
                     poisoned.store(true, Ordering::Relaxed);
                     let mut slot = failure.lock().expect("pool failure store poisoned");
                     if slot.is_none() {
+                        // Guarded too: nothing may unwind past the
+                        // phase barrier, not even a panicking label.
+                        let label = catch_unwind(AssertUnwindSafe(|| label(i, item)))
+                            .unwrap_or_else(|_| format!("item {i}"));
                         *slot = Some(CapturedPanic {
                             index: i,
-                            label: format!("shard {i}"),
+                            label,
                             payload,
                         });
                     }
@@ -321,7 +347,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{payload_message, thread_spawns};
+    use crate::payload_message;
 
     #[test]
     fn pool_matches_scoped_map_and_spawns_once() {
@@ -331,22 +357,21 @@ mod tests {
         for (i, v) in items.iter().enumerate() {
             assert_eq!(v, &[i as u32, i as u32 + 100]);
         }
+        assert_eq!(pool.spawns(), 3, "caller + 3 workers");
         // Warmed: further phases spawn nothing.
-        let before = thread_spawns();
         for round in 0..50u32 {
             pool.run_mut(&mut items, |_, v| v.push(round));
         }
-        assert_eq!(thread_spawns(), before, "warmed pool must not spawn");
+        assert_eq!(pool.spawns(), 3, "warmed pool must not spawn");
         assert_eq!(items[7].len(), 2 + 50);
     }
 
     #[test]
     fn inline_pool_runs_on_the_caller() {
         let pool = WorkerPool::new(1);
-        let before = thread_spawns();
         let mut items: Vec<u64> = (0..16).collect();
         pool.run_mut(&mut items, |_, x| *x *= 3);
-        assert_eq!(thread_spawns(), before, "threads=1 never spawns");
+        assert_eq!(pool.spawns(), 0, "threads=1 never spawns");
         assert_eq!(items[5], 15);
     }
 
@@ -379,7 +404,11 @@ mod tests {
         for _ in 0..4 {
             let mut items: Vec<u32> = (0..64).collect();
             let err = catch_unwind(AssertUnwindSafe(|| {
-                pool.run_mut(&mut items, |_, _| panic!("all fall down"))
+                pool.run_mut_labeled(
+                    &mut items,
+                    |_, _| panic!("all fall down"),
+                    |_, _| panic!("the label panics too"),
+                )
             }))
             .unwrap_err();
             assert!(payload_message(err.as_ref()).contains("all fall down"));
@@ -405,13 +434,13 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 25 * (39 * 40 / 2));
+        assert_eq!(pool.spawns(), 2);
     }
 
     #[test]
     fn empty_phase_is_free() {
         let pool = WorkerPool::new(4);
-        let before = thread_spawns();
         pool.run_mut(&mut [] as &mut [u8], |_, _| {});
-        assert_eq!(thread_spawns(), before, "empty phases never spawn");
+        assert_eq!(pool.spawns(), 0, "empty phases never spawn");
     }
 }

@@ -103,11 +103,7 @@ impl Automorphism {
 
     /// The composition "`self` after `other`" (apply `other` first).
     pub fn after(&self, other: &Automorphism) -> Automorphism {
-        let node: Vec<u32> = other
-            .node
-            .iter()
-            .map(|&v| self.node[v as usize])
-            .collect();
+        let node: Vec<u32> = other.node.iter().map(|&v| self.node[v as usize]).collect();
         let ports = other
             .ports
             .iter()
@@ -158,7 +154,11 @@ impl Automorphism {
 /// * **hubs** — adjacent hub–hub and spoke–spoke transpositions;
 /// * **torus** — the x- and y-reflections through `r`, plus the
 ///   diagonal transpose when the torus is square.
-pub fn family_generators(spec: &crate::GeneratorSpec, g: &Graph, root: NodeId) -> Vec<Automorphism> {
+pub fn family_generators(
+    spec: &crate::GeneratorSpec,
+    g: &Graph,
+    root: NodeId,
+) -> Vec<Automorphism> {
     let n = g.node_count();
     let idmap: Vec<u32> = (0..n as u32).collect();
     let mut candidates: Vec<Vec<u32>> = Vec::new();
@@ -216,8 +216,9 @@ pub fn family_generators(spec: &crate::GeneratorSpec, g: &Graph, root: NodeId) -
                 candidates.push(grid_map(w, h, yflip));
                 if w == h {
                     // Transpose about the root: swap the x and y offsets.
-                    let diag =
-                        |x: usize, y: usize| (((y0 + w + x - x0) % h) * w + (x0 + h + y - y0) % w) as u32;
+                    let diag = |x: usize, y: usize| {
+                        (((y0 + w + x - x0) % h) * w + (x0 + h + y - y0) % w) as u32
+                    };
                     candidates.push(grid_map(w, h, diag));
                 }
             }
@@ -240,7 +241,7 @@ pub fn torus_dims(n: usize) -> (usize, usize) {
     let mut best = (n, 1);
     let mut w = 1;
     while w * w <= n {
-        if n % w == 0 {
+        if n.is_multiple_of(w) {
             best = (n / w, w);
         }
         w += 1;
@@ -329,7 +330,9 @@ pub fn search_group(g: &Graph, root: NodeId, cap: usize) -> Option<Vec<Automorph
     used[root.index()] = true;
     let mut out: Vec<Vec<u32>> = Vec::new();
     let mut steps: usize = 0;
-    let complete = extend(g, &order, 1, &mut sigma, &mut used, &mut out, cap, &mut steps);
+    let complete = extend(
+        g, &order, 1, &mut sigma, &mut used, &mut out, cap, &mut steps,
+    );
     if !complete {
         return None;
     }
@@ -401,7 +404,7 @@ mod tests {
     use crate::generators;
     use crate::GeneratorSpec;
 
-    fn assert_is_group(g: &Graph, elems: &[Automorphism]) {
+    fn assert_is_group(elems: &[Automorphism]) {
         assert!(elems.iter().any(|e| e.is_identity()), "identity present");
         for a in elems {
             assert!(elems.contains(&a.inverse()), "closed under inverse");
@@ -454,7 +457,7 @@ mod tests {
             let g = generators::ring(n);
             let elems = automorphism_group(&g, NodeId::new(0), 720);
             assert_eq!(elems.len(), 2, "ring:{n} fixes root: id + reflection");
-            assert_is_group(&g, &elems);
+            assert_is_group(&elems);
             let fam = family_generators(&GeneratorSpec::Ring, &g, NodeId::new(0));
             assert_eq!(close_group(&g, &fam, 720).unwrap(), elems);
         }
@@ -465,7 +468,7 @@ mod tests {
         let g = generators::star(6);
         let elems = automorphism_group(&g, NodeId::new(0), 720);
         assert_eq!(elems.len(), 120, "S_5 on the leaves");
-        assert_is_group(&g, &elems);
+        assert_is_group(&elems);
         let fam = family_generators(&GeneratorSpec::Star, &g, NodeId::new(0));
         assert_eq!(close_group(&g, &fam, 720).unwrap(), elems);
         // Rooted at a leaf: the other 4 leaves still permute.
@@ -493,7 +496,7 @@ mod tests {
         // transpositions generate the same group the search finds.
         let g = generators::hubs(6, 2, 0);
         let elems = automorphism_group(&g, NodeId::new(0), 720);
-        assert_is_group(&g, &elems);
+        assert_is_group(&elems);
         // Root is hub 0: the other hub is pinned, spokes permute: S_4.
         assert_eq!(elems.len(), 24);
         let fam = family_generators(&GeneratorSpec::Hubs { hubs: 2 }, &g, NodeId::new(0));
@@ -504,7 +507,7 @@ mod tests {
     fn torus_generators_match_search() {
         let g = generators::torus(3, 3);
         let elems = automorphism_group(&g, NodeId::new(0), 720);
-        assert_is_group(&g, &elems);
+        assert_is_group(&elems);
         let fam = family_generators(&GeneratorSpec::Torus, &g, NodeId::new(0));
         let closed = close_group(&g, &fam, 720).unwrap();
         // The verified reflections + transpose generate a subgroup of

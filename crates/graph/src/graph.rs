@@ -95,7 +95,6 @@ impl std::error::Error for GraphError {}
 /// # Ok::<(), sno_graph::GraphError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     /// Node `u`'s ports occupy `flat_adj[offsets[u] .. offsets[u + 1]]`.
     offsets: Vec<u32>,

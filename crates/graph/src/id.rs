@@ -17,7 +17,6 @@ use std::fmt;
 /// assert_eq!(p.to_string(), "n3");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -73,7 +72,6 @@ impl From<NodeId> for usize {
 /// assert_eq!(l.to_string(), "p1");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Port(usize);
 
 impl Port {

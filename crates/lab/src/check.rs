@@ -190,7 +190,13 @@ fn dftno_legit_cycle(
     net: &Network,
     proto: &sno_core::Dftno<sno_token::DfsTokenCirculation>,
     limit: u64,
-) -> Result<(sno_check::StateSpace<sno_core::dftno::DftnoState<sno_token::dftc::DftcState>>, Vec<u64>), String> {
+) -> Result<
+    (
+        sno_check::StateSpace<sno_core::dftno::DftnoState<sno_token::dftc::DftcState>>,
+        Vec<u64>,
+    ),
+    String,
+> {
     use sno_engine::Protocol as _;
     type S = sno_core::dftno::DftnoState<sno_token::dftc::DftcState>;
     let space: sno_check::StateSpace<S> =
@@ -199,8 +205,7 @@ fn dftno_legit_cycle(
         if !sno_core::dftno::dftno_golden(net, c) {
             return false;
         }
-        let toks: Vec<sno_token::dftc::DftcState> =
-            c.iter().map(|s| s.token.clone()).collect();
+        let toks: Vec<sno_token::dftc::DftcState> = c.iter().map(|s| s.token.clone()).collect();
         sno_token::dftc::dftc_legit(net, &toks)
     };
     let init: Vec<S> = net
@@ -292,7 +297,15 @@ pub fn run_cell(
     match cell.stack.as_str() {
         "hop" => {
             let net = Network::new(g, root);
-            run_with(&net, &HopDistance, &hop_distance_legit, cell, options, pool, None)
+            run_with(
+                &net,
+                &HopDistance,
+                &hop_distance_legit,
+                cell,
+                options,
+                pool,
+                None,
+            )
         }
         "bfs-tree" => {
             let net = Network::new(g, root);
@@ -600,7 +613,7 @@ fn render_properties(cert: &Certificate) -> String {
 /// JSON). Returns the process exit code: `0` when every verdict matches
 /// (suite) or every property holds (single cell), `1` otherwise.
 pub fn run_check_command(args: &CheckArgs) -> i32 {
-    let threads = args.threads.unwrap_or_else(crate::fleet::default_threads);
+    let threads = args.threads.unwrap_or_else(sno_fleet::default_threads);
     let pool = WorkerPool::new(threads);
     let mut options = args.options;
     options.threads = threads;

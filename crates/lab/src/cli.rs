@@ -523,7 +523,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
         }
         Command::Check(check) => crate::check::run_check_command(&check),
         Command::Run(run) => {
-            let threads = run.threads.unwrap_or_else(crate::fleet::default_threads);
+            let threads = run.threads.unwrap_or_else(sno_fleet::default_threads);
             // Cross-mode campaign diffs in CI compare these reports; the
             // header names the active engine and the thread count so each
             // run is self-describing. (The JSON artifact deliberately

@@ -14,10 +14,10 @@
 //!    topology family × size × protocol stack × daemon × fault plan,
 //!    measured over a seed range;
 //! 2. [`run_campaign`] expands it into cells, drives every run on a
-//!    worker fleet (scoped `std::thread` workers claiming cells from an
-//!    atomic queue — a stand-in for rayon, which this offline build
-//!    cannot fetch), reusing the network, simulation, and daemon
-//!    allocations across a cell's seeds;
+//!    `sno-fleet` worker pool (persistent `std::thread` workers claiming
+//!    seed chunks from an atomic cursor — a stand-in for rayon, which
+//!    this offline build cannot fetch), reusing the network, simulation,
+//!    and daemon allocations across a cell's seeds;
 //! 3. [`CampaignReport`] aggregates each cell into
 //!    `min/mean/p50/p95/max` summaries of moves, steps, and rounds plus
 //!    convergence rates, and renders the repo's `BENCH_*.json` format
@@ -52,7 +52,6 @@
 
 pub mod check;
 pub mod cli;
-pub mod fleet;
 pub mod matrix;
 pub mod report;
 pub mod runner;

@@ -1,5 +1,5 @@
-//! Campaign execution: expand a matrix, fan cells out over the fleet,
-//! aggregate per-cell statistics.
+//! Campaign execution: expand a matrix, fan seed chunks out over a
+//! worker pool, aggregate per-cell statistics.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -18,7 +18,6 @@ use sno_token::{DfsTokenCirculation, OracleToken};
 use sno_tree::{BfsSpanningTree, CdSpanningTree, OracleSpanningTree};
 use std::sync::Arc;
 
-use crate::fleet;
 use crate::matrix::{CellSpec, ScenarioMatrix};
 use crate::report::{CampaignReport, CellReport};
 use crate::spec::{FaultPlan, ProtocolSpec, TokenSubstrate, TreeSubstrate};
@@ -159,22 +158,17 @@ impl EngineOptions {
 ///
 /// Panics if the matrix fails [`ScenarioMatrix::validate`].
 pub fn run_campaign(matrix: &ScenarioMatrix) -> CampaignReport {
-    run_campaign_with_threads(matrix, fleet::default_threads())
+    run_campaign_with_threads(matrix, sno_fleet::default_threads())
 }
 
-/// One persistent engine worker pool for the whole campaign, when the
-/// resolved engine options call for the sharded executor: every cell's
-/// simulations hand their phases to the same parked workers instead of
-/// each spawning a pool of its own (concurrent cells serialize whole
-/// phases inside the pool, which is always safe). `None` when no
-/// sharded simulation will run.
-fn campaign_pool(options: &EngineOptions) -> Option<Arc<WorkerPool>> {
-    let shards = options.resolved_shards();
-    if options.resolved_mode() == Some(sno_engine::EngineMode::SyncSharded) && shards > 1 {
-        Some(Arc::new(WorkerPool::new(shards)))
-    } else {
-        None
-    }
+/// One persistent engine worker pool for the whole campaign, one
+/// participant per shard: every cell's sharded simulations hand their
+/// phases to the same parked workers instead of each spawning a pool of
+/// its own (concurrent cells serialize whole phases inside the pool,
+/// which is always safe). Workers start on the first parallel phase, so
+/// a campaign that never shards spawns nothing.
+fn campaign_pool(options: &EngineOptions) -> Arc<WorkerPool> {
+    Arc::new(WorkerPool::new(options.resolved_shards()))
 }
 
 /// Applies the campaign's resolved engine options to one simulation,
@@ -182,35 +176,31 @@ fn campaign_pool(options: &EngineOptions) -> Option<Arc<WorkerPool>> {
 fn configure_engine<P: Protocol, M: Meter>(
     sim: &mut Simulation<'_, P, M>,
     options: &EngineOptions,
-    pool: Option<&Arc<WorkerPool>>,
+    pool: &Arc<WorkerPool>,
 ) {
     if let Some(mode) = options.resolved_mode() {
         sim.set_mode(mode);
         if mode == sno_engine::EngineMode::SyncSharded {
-            let shards = options.resolved_shards();
-            match pool {
-                Some(p) if shards > 1 => {
-                    sim.configure_sync_sharding_with_pool(shards, Arc::clone(p));
-                }
-                _ => sim.configure_sync_sharding(shards, shards),
-            }
+            sim.configure_sync_sharding_with_pool(options.resolved_shards(), Arc::clone(pool));
         }
     }
 }
 
-/// One unit of fleet work: a contiguous seed sub-range of one cell.
+/// One unit of pool work: a contiguous seed sub-range of one cell, plus
+/// the slot its outcome lands in.
 ///
 /// A matrix with few heavy cells would underutilize a cell-granular
-/// fleet, so the runner splits each cell's seed range into chunks and
+/// pool, so the runner splits each cell's seed range into chunks and
 /// re-assembles the per-cell records in seed order afterwards. Every
 /// `(cell, seed)` run derives all of its randomness from the run seed
 /// alone, so chunk boundaries (and therefore the thread count) cannot
 /// leak into the report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct SeedChunk {
     cell_index: usize,
     seed_lo: u64,
     seed_hi: u64,
+    outcome: Option<CellOutcome>,
 }
 
 /// Picks the per-cell chunk size: whole cells when there are already
@@ -259,23 +249,28 @@ pub fn run_campaign_with_options(
                 cell_index,
                 seed_lo: lo,
                 seed_hi: hi,
+                outcome: None,
             });
             lo = hi;
         }
     }
-    let pool = campaign_pool(options);
-    let partials = fleet::parallel_map_labeled(
-        &items,
-        threads,
+    // Two pools: this one fans seed chunks out, `campaign_pool` runs the
+    // sharded engine phases inside them. They must stay separate —
+    // `run_mut` holds a pool's phase lock across its barrier, so a chunk
+    // starting an engine phase on the pool that is running the chunk
+    // would wait for itself.
+    let engine_pool = campaign_pool(options);
+    WorkerPool::new(threads).run_mut_labeled(
+        &mut items,
         |_, it| {
-            run_cell_seeds(
+            it.outcome = Some(run_cell_seeds(
                 &cells[it.cell_index],
                 matrix,
                 it.seed_lo,
                 it.seed_hi,
                 options,
-                pool.as_ref(),
-            )
+                &engine_pool,
+            ));
         },
         // Evaluated only when a worker panics: name the scenario cell
         // and seed sub-range so the failing run is attributable without
@@ -288,10 +283,11 @@ pub fn run_campaign_with_options(
         },
     );
     // Stitch chunk outcomes back into whole cells. Items were generated
-    // cell-major with ascending seed ranges and `parallel_map` preserves
-    // input order, so plain concatenation restores seed order.
+    // cell-major with ascending seed ranges and each holds its own
+    // outcome, so plain concatenation restores seed order.
     let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-    for (it, partial) in items.into_iter().zip(partials) {
+    for it in items {
+        let partial = it.outcome.expect("every seed chunk ran");
         match outcomes.last_mut() {
             Some(prev) if it.seed_lo != matrix.seed_start => {
                 prev.runs.extend(partial.runs);
@@ -330,7 +326,7 @@ pub fn run_cell(cell: &CellSpec, matrix: &ScenarioMatrix) -> CellOutcome {
         matrix.seed_start,
         matrix.seed_start + matrix.seeds_per_cell,
         &options,
-        pool.as_ref(),
+        &pool,
     )
 }
 
@@ -345,7 +341,7 @@ fn run_cell_seeds(
     seed_lo: u64,
     seed_hi: u64,
     options: &EngineOptions,
-    pool: Option<&Arc<WorkerPool>>,
+    pool: &Arc<WorkerPool>,
 ) -> CellOutcome {
     if options.metrics {
         dispatch_stack(
@@ -506,7 +502,7 @@ struct DriveVisitor<'a, M> {
     seed_lo: u64,
     seed_hi: u64,
     options: &'a EngineOptions,
-    pool: Option<&'a Arc<WorkerPool>>,
+    pool: &'a Arc<WorkerPool>,
     _meter: std::marker::PhantomData<M>,
 }
 
@@ -567,7 +563,7 @@ fn drive<P, L, M>(
     seed_lo: u64,
     seed_hi: u64,
     options: &EngineOptions,
-    pool: Option<&Arc<WorkerPool>>,
+    pool: &Arc<WorkerPool>,
 ) -> CellOutcome
 where
     P: Protocol + Clone,
@@ -676,7 +672,7 @@ where
         let record = if M::ENABLED {
             // Metered campaigns catch per-seed panics to enrich the
             // message with the counter snapshot at the point of death,
-            // then re-raise; `fleet::parallel_map_labeled` adds the cell
+            // then re-raise; `WorkerPool::run_mut_labeled` adds the cell
             // and seed-range label on top. The unmetered path keeps its
             // zero-overhead unwinding.
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut one_seed)) {
@@ -686,7 +682,7 @@ where
                     // can be read for the snapshot.
                     #[allow(clippy::drop_non_drop)]
                     drop(one_seed);
-                    let msg = crate::fleet::payload_message(payload.as_ref());
+                    let msg = sno_fleet::payload_message(payload.as_ref());
                     let counters = sim
                         .meter()
                         .counters()
@@ -749,7 +745,7 @@ fn drive_topology<P, L, M>(
     seed_lo: u64,
     seed_hi: u64,
     options: &EngineOptions,
-    pool: Option<&Arc<WorkerPool>>,
+    pool: &Arc<WorkerPool>,
 ) -> CellOutcome
 where
     P: Protocol + Clone,
@@ -928,7 +924,7 @@ where
                 Err(payload) => {
                     #[allow(clippy::drop_non_drop)]
                     drop(one_seed);
-                    let msg = crate::fleet::payload_message(payload.as_ref());
+                    let msg = sno_fleet::payload_message(payload.as_ref());
                     let counters = sim
                         .meter()
                         .counters()

@@ -10,25 +10,48 @@
 //! #[global_allocator]
 //! static ALLOC: testalloc::CountingAlloc = testalloc::CountingAlloc::new();
 //!
-//! let before = testalloc::allocation_count();
+//! let before = testalloc::thread_heap_activity();
 //! // ... run the supposedly allocation-free hot path ...
-//! assert_eq!(testalloc::allocation_count() - before, 0);
+//! assert_eq!(testalloc::thread_heap_activity() - before, 0);
 //! ```
 //!
-//! Like the sibling shims (`rand`, `proptest`, `criterion`) this is a
-//! deliberate offline stand-in — for a registry build one would reach for
-//! an off-the-shelf counting allocator; the API surface here is exactly
-//! what `tests/alloc_free.rs` uses.
+//! Two views of the same events:
 //!
-//! Counting uses relaxed atomics: the assertions run single-threaded, and
-//! the counters are monotone diagnostics, not synchronization.
+//! * [`thread_heap_activity`] counts only the **calling thread's**
+//!   allocations, so a zero pin measures exactly the code it runs —
+//!   other tests of the same binary, the test harness, and pool workers
+//!   allocating concurrently cannot land in its window;
+//! * the process-wide counters ([`heap_activity`] and friends) see every
+//!   thread, for benches that deliberately count worker allocations.
+//!
+//! Like the sibling shims (`rand`, `proptest`) this is a deliberate
+//! offline stand-in — for a registry build one would reach for an
+//! off-the-shelf counting allocator; the API surface here is exactly
+//! what the workspace's allocation pins and `engine_bench` use.
+//!
+//! Counting uses relaxed atomics: the counters are monotone diagnostics,
+//! not synchronization.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static REALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's allocations + reallocations. `const`-initialized
+    /// with a destructor-free type, so touching it from inside the
+    /// allocator never allocates or registers a destructor.
+    static THREAD_ACTIVITY: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one heap operation against the current thread. `try_with`
+/// skips threads whose thread-locals are already torn down.
+fn note_thread_activity() {
+    let _ = THREAD_ACTIVITY.try_with(|c| c.set(c.get() + 1));
+}
 
 /// A [`GlobalAlloc`] forwarding to [`System`] while counting every
 /// allocation, deallocation, and reallocation.
@@ -52,6 +75,7 @@ impl Default for CountingAlloc {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_thread_activity();
         System.alloc(layout)
     }
 
@@ -62,11 +86,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_thread_activity();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         REALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_thread_activity();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -87,8 +113,13 @@ pub fn reallocation_count() -> u64 {
     REALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Allocations + reallocations — the quantity a "zero allocations per
-/// step" assertion must see unchanged.
+/// Allocations + reallocations on every thread since process start.
 pub fn heap_activity() -> u64 {
     allocation_count() + reallocation_count()
+}
+
+/// Allocations + reallocations performed by the calling thread — the
+/// quantity a "zero allocations per step" assertion must see unchanged.
+pub fn thread_heap_activity() -> u64 {
+    THREAD_ACTIVITY.try_with(Cell::get).unwrap_or(0)
 }

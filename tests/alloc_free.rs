@@ -18,6 +18,11 @@
 //!    `Stno::enabled` — the ROADMAP "per-guard-evaluation allocation"
 //!    item) perform zero allocations through `enabled_into` once their
 //!    `Scratch` arena is warm.
+//!
+//! Every pin reads [`testalloc::thread_heap_activity`], the measuring
+//! thread's own counter: all measured work runs on the caller's thread
+//! (the sync-round pin keeps `SyncSharded` at its default single shard),
+//! so concurrent tests and harness threads cannot land in a window.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,17 +39,6 @@ use sno::tree::{BfsSpanningTree, OracleSpanningTree};
 #[global_allocator]
 static ALLOC: testalloc::CountingAlloc = testalloc::CountingAlloc::new();
 
-/// The allocator counters are process-global, so the default parallel
-/// test harness would let one test's allocations land inside another's
-/// measured window. Every test serializes its whole body on this lock
-/// (surviving a poisoned mutex — the counters stay valid after a
-/// failed assertion).
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs `steps` warmed-up daemon selections and returns the heap
 /// activity (allocations + reallocations) they performed.
 fn step_activity<P: Protocol + Clone>(
@@ -59,14 +53,13 @@ fn step_activity<P: Protocol + Clone>(
     // Warm-up: let every scratch buffer, arena slot, and list reach its
     // steady capacity.
     sim.run_until(&mut daemon, 2_000, |_| false);
-    let before = testalloc::heap_activity();
+    let before = testalloc::thread_heap_activity();
     sim.run_until(&mut daemon, steps, |_| false);
-    testalloc::heap_activity() - before
+    testalloc::thread_heap_activity() - before
 }
 
 #[test]
 fn engine_step_loop_is_allocation_free_for_copy_states() {
-    let _serial = serialized();
     // OracleToken (state u64) on the star: the hub workload the
     // port-dirty engine targets. HopDistance (state u32) on a path: the
     // generic sparse workload. Neither protocol's apply allocates, so
@@ -88,7 +81,6 @@ fn engine_step_loop_is_allocation_free_for_copy_states() {
 
 #[test]
 fn dftno_port_dirty_hub_steps_are_clone_and_allocation_free() {
-    let _serial = serialized();
     // The api-redesign acceptance gate. Under the old clone-based
     // `Protocol::apply`, every hub move cloned DFTNO's whole state —
     // including the `O(Δ)` `π` vector, one heap allocation per step.
@@ -111,7 +103,6 @@ fn dftno_port_dirty_hub_steps_are_clone_and_allocation_free() {
 
 #[test]
 fn dftno_sync_round_multi_writer_steps_are_clone_and_allocation_free() {
-    let _serial = serialized();
     // The delta-staging acceptance pin: synchronous-daemon DFTNO steps
     // select *every* enabled processor — the multi-writer path that
     // used to `clone_from` each writer's whole `O(Δ)` state into a
@@ -141,9 +132,9 @@ fn dftno_sync_round_multi_writer_steps_are_clone_and_allocation_free() {
             // Re-initialization itself builds fresh random states (it
             // allocates by design) — the measured window is the steps.
             sim.reinit_random(&mut rng);
-            let before = testalloc::heap_activity();
+            let before = testalloc::thread_heap_activity();
             let run = sim.run_until(&mut daemon, 300, |_| false);
-            activity += testalloc::heap_activity() - before;
+            activity += testalloc::thread_heap_activity() - before;
             moves += run.moves;
         }
         assert!(moves > 1_200, "dense multi-writer rounds actually ran");
@@ -157,7 +148,6 @@ fn dftno_sync_round_multi_writer_steps_are_clone_and_allocation_free() {
 
 #[test]
 fn dftno_node_dirty_steps_stay_o1() {
-    let _serial = serialized();
     // The node-dirty engine re-evaluates the hub's whole neighborhood
     // but must still write states in place: zero allocations per step
     // there too (single-writer steps never stage).
@@ -169,7 +159,6 @@ fn dftno_node_dirty_steps_stay_o1() {
 
 #[test]
 fn layered_guard_evaluation_is_allocation_free_with_warm_scratch() {
-    let _serial = serialized();
     // The ROADMAP item verbatim: `Dftno::enabled` and `Stno::enabled`
     // built a temporary substrate-action Vec per guard evaluation.
     // Through `enabled_into` with a warmed arena they must not allocate.
@@ -192,11 +181,11 @@ fn layered_guard_evaluation_is_allocation_free_with_warm_scratch() {
         let view = ConfigView::new(&net, p, &config);
         out.clear();
         dftno.enabled_into(&view, &mut out, &mut arena);
-        let before = testalloc::heap_activity();
+        let before = testalloc::thread_heap_activity();
         out.clear();
         dftno.enabled_into(&view, &mut out, &mut arena);
         assert_eq!(
-            testalloc::heap_activity() - before,
+            testalloc::thread_heap_activity() - before,
             0,
             "Dftno::enabled_into allocated at node {p}"
         );
@@ -217,11 +206,11 @@ fn layered_guard_evaluation_is_allocation_free_with_warm_scratch() {
         out.clear();
         let mut stno_out = Vec::with_capacity(8);
         stno.enabled_into(&view, &mut stno_out, &mut arena);
-        let before = testalloc::heap_activity();
+        let before = testalloc::thread_heap_activity();
         stno_out.clear();
         stno.enabled_into(&view, &mut stno_out, &mut arena);
         assert_eq!(
-            testalloc::heap_activity() - before,
+            testalloc::thread_heap_activity() - before,
             0,
             "Stno::enabled_into (oracle tree) allocated at node {p}"
         );
@@ -238,11 +227,11 @@ fn layered_guard_evaluation_is_allocation_free_with_warm_scratch() {
         let view = ConfigView::new(&net, p, &config);
         live_out.clear();
         stno_live.enabled_into(&view, &mut live_out, &mut arena);
-        let before = testalloc::heap_activity();
+        let before = testalloc::thread_heap_activity();
         live_out.clear();
         stno_live.enabled_into(&view, &mut live_out, &mut arena);
         assert_eq!(
-            testalloc::heap_activity() - before,
+            testalloc::thread_heap_activity() - before,
             0,
             "Stno::enabled_into (BFS tree) allocated at node {p}"
         );
@@ -251,12 +240,31 @@ fn layered_guard_evaluation_is_allocation_free_with_warm_scratch() {
 
 #[test]
 fn counting_allocator_actually_counts() {
-    let _serial = serialized();
     // Sanity: the hook sees an obvious allocation (the zero assertions
-    // above would be vacuous against a broken counter).
+    // above would be vacuous against a broken counter), on this thread
+    // and process-wide, and another thread's allocation stays out of
+    // this thread's count.
     let before = testalloc::allocation_count();
+    let mine = testalloc::thread_heap_activity();
     let v: Vec<u64> = Vec::with_capacity(1024);
     std::hint::black_box(&v);
     assert!(testalloc::allocation_count() > before);
+    assert_eq!(testalloc::thread_heap_activity(), mine + 1);
     drop(v);
+    let mine = testalloc::thread_heap_activity();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let start = testalloc::thread_heap_activity();
+            for _ in 0..100 {
+                std::hint::black_box(Vec::<u64>::with_capacity(1024));
+            }
+            assert_eq!(testalloc::thread_heap_activity() - start, 100);
+        });
+    });
+    // The spawn itself allocates a few bookkeeping objects here; the
+    // worker's 100 allocations must not.
+    assert!(
+        testalloc::thread_heap_activity() - mine < 100,
+        "a worker's allocations must not count against the spawning thread"
+    );
 }

@@ -14,8 +14,8 @@
 //! raw BFS tree) × 4 daemons × 4 topology families, stepped in five-way
 //! lockstep — the sharded synchronous executor (`SyncSharded`, with its
 //! parallel-threshold pinned to 0 so even these small graphs exercise
-//! the shard-parallel phases) under both the persistent worker pool and
-//! the legacy scoped spawn-per-phase executor, against the node-dirty,
+//! the shard-parallel phases) at two geometries — more shards than
+//! threads, and fewer shards than threads — against the node-dirty,
 //! port-dirty, and full-sweep engines — plus a proptest over
 //! random networks and seeds asserting equal `RunResult`s and final
 //! configurations.
@@ -29,8 +29,8 @@
 //! `StateTxn` commit path must keep warmed-up single-writer steps at
 //! zero heap activity in every mode (a `DftnoState` clone would
 //! allocate its `π` vector, so the counter doubles as a clone counter).
-//! The counters are process-global, so every test in this binary
-//! serializes on one lock.
+//! The pin reads the measuring thread's own counter, so the tests of
+//! this binary run concurrently without disturbing it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,7 +38,7 @@ use rand::SeedableRng;
 use sno::core::dftno::Dftno;
 use sno::core::stno::Stno;
 use sno::engine::daemon::Daemon;
-use sno::engine::{EngineMode, Network, Protocol, Simulation, SyncExecutor};
+use sno::engine::{EngineMode, Network, Protocol, Simulation};
 use sno::graph::{generators, NodeId};
 use sno::lab::DaemonSpec;
 use sno::token::{DfsTokenCirculation, OracleToken};
@@ -50,16 +50,8 @@ use common::{seed_offsets, topologies, DAEMONS};
 #[global_allocator]
 static ALLOC: testalloc::CountingAlloc = testalloc::CountingAlloc::new();
 
-/// Serializes every test body: the allocation counters the clone-diff
-/// test reads are process-global (survives a poisoned mutex).
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Steps the node-dirty, port-dirty, and sharded-synchronous engines
-/// (pooled and scoped executors) and the full-sweep reference in
+/// (at two shard/thread geometries) and the full-sweep reference in
 /// five-way lockstep from identical random configurations and asserts a
 /// bit-identical trace: enabled set (order included), outcome,
 /// configuration, and counters after every step.
@@ -73,15 +65,15 @@ fn assert_identical_traces<P>(
 ) where
     P: Protocol + Clone,
 {
-    // The two sharded entries differ only in executor (and geometry):
-    // the persistent pool vs the legacy scoped spawn-per-phase threads.
+    // The two sharded entries differ only in geometry: more shards than
+    // threads, and fewer shards than threads (idle pool participants).
     // Both must be indistinguishable from the serial engines.
     let configs = [
         (EngineMode::FullSweep, None),
         (EngineMode::NodeDirty, None),
         (EngineMode::PortDirty, None),
-        (EngineMode::SyncSharded, Some((3, 2, SyncExecutor::Pooled))),
-        (EngineMode::SyncSharded, Some((4, 8, SyncExecutor::Scoped))),
+        (EngineMode::SyncSharded, Some((3, 2))),
+        (EngineMode::SyncSharded, Some((4, 8))),
     ];
     let modes = configs.map(|(m, _)| m);
     let mut sims: Vec<Simulation<'_, P>> = configs
@@ -90,10 +82,9 @@ fn assert_identical_traces<P>(
             let mut rng = StdRng::seed_from_u64(seed);
             let mut s = Simulation::from_random(net, protocol.clone(), &mut rng);
             s.set_mode(m);
-            if let Some((shards, threads, executor)) = sharding {
+            if let Some((shards, threads)) = sharding {
                 // Force the shard-parallel phases even at these sizes.
                 s.configure_sync_sharding(shards, threads);
-                s.set_sync_executor(executor);
                 s.set_sync_parallel_threshold(0);
             }
             s
@@ -175,7 +166,6 @@ where
 
 #[test]
 fn dftno_traces_are_identical() {
-    let _serial = serialized();
     differential_matrix("dftno", 400, |net| {
         Dftno::new(OracleToken::new(net.graph(), net.root()))
     });
@@ -183,25 +173,21 @@ fn dftno_traces_are_identical() {
 
 #[test]
 fn stno_traces_are_identical() {
-    let _serial = serialized();
     differential_matrix("stno", 400, |_| Stno::new(BfsSpanningTree));
 }
 
 #[test]
 fn token_circulation_traces_are_identical() {
-    let _serial = serialized();
     differential_matrix("token", 400, |_| DfsTokenCirculation);
 }
 
 #[test]
 fn spanning_tree_traces_are_identical() {
-    let _serial = serialized();
     differential_matrix("tree", 400, |_| BfsSpanningTree);
 }
 
 #[test]
 fn three_way_lockstep_diffs_clone_counters() {
-    let _serial = serialized();
     // The modes must agree not only on traces but on their *clone
     // budget*: with the in-place commit path, a warmed-up DFTNO/oracle
     // star run performs zero heap activity per step in every mode
@@ -226,9 +212,9 @@ fn three_way_lockstep_diffs_clone_counters() {
         let mut daemon = DaemonSpec::CentralRoundRobin.build(&net, 0);
         // Warm up allocations (scratch, enabled list, stage pools).
         sim.run_until(&mut daemon, 2_000, |_| false);
-        let before = testalloc::heap_activity();
+        let before = testalloc::thread_heap_activity();
         let r = sim.run_until(&mut daemon, 3_000, |_| false);
-        activity.push(testalloc::heap_activity() - before);
+        activity.push(testalloc::thread_heap_activity() - before);
         results.push((r, sim.config().to_vec()));
     }
     assert_eq!(results[0], results[1], "full-sweep vs node-dirty");
@@ -243,7 +229,6 @@ fn three_way_lockstep_diffs_clone_counters() {
 
 #[test]
 fn enabled_nodes_order_is_nodeid_sorted() {
-    let _serial = serialized();
     // Regression: daemons index into the enabled slice, so the engine
     // guarantees ascending NodeId order. Probe it from arbitrary (highly
     // enabled) configurations and along a run.
@@ -279,7 +264,6 @@ proptest! {
     /// `run_until_silent` (exercising the allocation-free commit path).
     #[test]
     fn run_results_agree_on_random_networks((n, extra, gseed, seed) in arb_run()) {
-        let _serial = serialized();
         let g = generators::random_connected(n, extra, gseed);
         let net = Network::new(g, NodeId::new(0));
 
@@ -301,7 +285,6 @@ proptest! {
     /// token) under a bounded `run_until`.
     #[test]
     fn bounded_runs_agree_on_dftno((n, extra, gseed, seed) in arb_run()) {
-        let _serial = serialized();
         let g = generators::random_connected(n, extra, gseed);
         let net = Network::new(g, NodeId::new(0));
         let proto = Dftno::new(OracleToken::new(net.graph(), net.root()));

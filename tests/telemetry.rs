@@ -15,7 +15,9 @@
 //! 3. **Metered stepping stays allocation-free** — `CounterMeter` stores
 //!    its counters and histograms inline, so turning telemetry on does
 //!    not cost the hot loop its zero-alloc pin (and the `NoopMeter`
-//!    default remains pinned too);
+//!    default remains pinned too) — measured on the caller's own
+//!    allocation counter, so the sharded-trace test's pool workers
+//!    allocating concurrently cannot land in the window;
 //! 4. **Phase traces are well-formed** — the sharded executor's tracer
 //!    emits Chrome trace-event JSON with one named lane per shard plus a
 //!    control lane, and balanced structure.
@@ -25,35 +27,16 @@ use rand::SeedableRng;
 use sno::engine::daemon::Synchronous;
 use sno::engine::examples::HopDistance;
 use sno::engine::{Counter, CounterMeter, EngineMode, Metric, Network, NoopMeter, Simulation};
-use sno::engine::{Meter, SyncExecutor, TraceBuffer};
+use sno::engine::{Meter, TraceBuffer};
 use sno::graph::{generators, NodeId};
 
 #[global_allocator]
 static ALLOC: testalloc::CountingAlloc = testalloc::CountingAlloc::new();
 
-/// See `tests/alloc_free.rs`: the allocator counters are process-global,
-/// so the allocation-measuring test serializes against nothing here —
-/// this binary has exactly one such test, but the lock keeps the pattern
-/// uniform if more are added.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs the canonical metered scenario — `HopDistance` on a 3-hub graph
 /// from a seeded random configuration under the synchronous daemon —
 /// and returns the meter.
 fn metered_run(mode: EngineMode, shards: usize, threads: usize) -> CounterMeter {
-    metered_run_with(mode, shards, threads, SyncExecutor::Pooled)
-}
-
-fn metered_run_with(
-    mode: EngineMode,
-    shards: usize,
-    threads: usize,
-    executor: SyncExecutor,
-) -> CounterMeter {
     let net = Network::new(generators::hubs(24, 3, 1), NodeId::new(0));
     let mut rng = StdRng::seed_from_u64(7);
     let mut sim =
@@ -61,7 +44,6 @@ fn metered_run_with(
     sim.set_mode(mode);
     if mode == EngineMode::SyncSharded {
         sim.configure_sync_sharding(shards, threads);
-        sim.set_sync_executor(executor);
         sim.set_sync_parallel_threshold(0);
     }
     let run = sim.run_until_silent(&mut Synchronous, 10_000);
@@ -74,14 +56,12 @@ fn sync_sharded_counters_are_schedule_independent() {
     let reference = metered_run(EngineMode::SyncSharded, 1, 1);
     for shards in [1, 2, 4, 8] {
         for threads in [1, 2, 4, 8] {
-            for executor in [SyncExecutor::Pooled, SyncExecutor::Scoped] {
-                let m = metered_run_with(EngineMode::SyncSharded, shards, threads, executor);
-                assert_eq!(
-                    reference, m,
-                    "counters and histograms must be byte-identical at \
-                     {shards} shards / {threads} threads under {executor:?}"
-                );
-            }
+            let m = metered_run(EngineMode::SyncSharded, shards, threads);
+            assert_eq!(
+                reference, m,
+                "counters and histograms must be byte-identical at \
+                 {shards} shards / {threads} threads"
+            );
         }
     }
 }
@@ -178,16 +158,15 @@ fn per_mode_golden_counters_decompose_the_work() {
 
 #[test]
 fn metered_stepping_is_allocation_free() {
-    let _serial = serialized();
     let net = Network::new(generators::star(64), NodeId::new(0));
     fn activity<M: Meter>(net: &Network, mode: EngineMode, meter: M) -> u64 {
         let mut sim = Simulation::from_initial_with_meter(net, HopDistance, meter);
         sim.set_mode(mode);
         let mut daemon = sno::engine::daemon::CentralRoundRobin::new();
         sim.run_until(&mut daemon, 2_000, |_| false);
-        let before = testalloc::heap_activity();
+        let before = testalloc::thread_heap_activity();
         sim.run_until(&mut daemon, 5_000, |_| false);
-        testalloc::heap_activity() - before
+        testalloc::thread_heap_activity() - before
     }
     for mode in [
         EngineMode::FullSweep,

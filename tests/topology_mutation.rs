@@ -39,7 +39,7 @@ use rand::{RngCore, SeedableRng};
 use sno::core::dcd::Dcd;
 use sno::core::stno::Stno;
 use sno::engine::daemon::Daemon;
-use sno::engine::{EngineMode, Network, Protocol, Simulation, SyncExecutor, TopologyEvent};
+use sno::engine::{EngineMode, Network, Protocol, Simulation, TopologyEvent};
 use sno::graph::{Graph, NodeId};
 use sno::lab::DaemonSpec;
 use sno::tree::BfsSpanningTree;
@@ -111,8 +111,7 @@ fn derive_event(g: &Graph, bound: usize, k: usize, rng: &mut StdRng) -> Option<T
     }
 }
 
-/// Steps the four engine modes (plus the scoped-executor A/B of the
-/// sharded mode) in lockstep from identical random
+/// Steps the four engine modes in lockstep from identical random
 /// configurations, applying the same derived [`TopologyEvent`] to every
 /// simulation at each scheduled step, and asserts a bit-identical trace
 /// throughout — plus, after every event, that each mode's incrementally
@@ -129,23 +128,21 @@ fn assert_mutation_lockstep<P>(
     P: Protocol + Clone,
 {
     let modes = [
-        (EngineMode::FullSweep, None),
-        (EngineMode::NodeDirty, None),
-        (EngineMode::PortDirty, None),
-        (EngineMode::SyncSharded, Some(SyncExecutor::Pooled)),
-        (EngineMode::SyncSharded, Some(SyncExecutor::Scoped)),
+        EngineMode::FullSweep,
+        EngineMode::NodeDirty,
+        EngineMode::PortDirty,
+        EngineMode::SyncSharded,
     ];
     let mut sims: Vec<Simulation<'_, P>> = modes
         .iter()
-        .map(|&(m, executor)| {
+        .map(|&m| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut s = Simulation::from_random(net, protocol.clone(), &mut rng);
             s.set_mode(m);
-            if let Some(executor) = executor {
+            if m == EngineMode::SyncSharded {
                 // Force the shard-parallel phases even at these sizes.
                 s.configure_sync_sharding(3, 2);
                 s.set_sync_parallel_threshold(0);
-                s.set_sync_executor(executor);
             }
             s
         })
