@@ -380,9 +380,10 @@ pub struct SyncConfig {
     /// Executor label: `node-serial` (the node-dirty engine — the best
     /// serial engine before the sharded executor existed, and the
     /// baseline every speedup in the document divides by), `serial`
-    /// (`SyncSharded` at one shard: the sharded *algorithm* without
+    /// (`PortDirty` at one shard: the sharded *algorithm* without
     /// parallelism — its win over node-serial is the composed port
-    /// cache), or `pooled` (the persistent worker pool).
+    /// cache), or `pooled` (`PortDirty` sharded over the persistent
+    /// worker pool).
     pub executor: &'static str,
     /// Shard count (1 = the serial step path).
     pub shards: usize,
@@ -502,7 +503,7 @@ pub fn sync_round_bench(n: usize, restarts: u64, steps_per_restart: u64) -> Vec<
             if cfg.executor == "node-serial" {
                 sim.set_mode(EngineMode::NodeDirty);
             } else {
-                sim.set_mode(EngineMode::SyncSharded);
+                sim.set_mode(EngineMode::PortDirty);
                 sim.configure_sync_sharding(cfg.shards, cfg.threads);
             }
             let mut daemon = Synchronous::new();

@@ -18,7 +18,7 @@
 //! representatives**: the stored edge from `C` to `C'` means some raw
 //! successor `s` of `C` satisfies `canon(s) = C'`, so consecutive
 //! representatives are generally *not* connected by the named move.
-//! [`realized_steps`] repairs this by accumulating the canonicalization
+//! `realized_steps` repairs this by accumulating the canonicalization
 //! witnesses along the stem and mapping every configuration, processor,
 //! and digit back through the group — the emitted trace replays
 //! move-for-move on a live simulation, and its endpoint is pinned to

@@ -10,7 +10,7 @@
 //! checker in `sno_engine::modelcheck`, rebuilt to scale and to model
 //! faults:
 //!
-//! * **Fleet-parallel sharded BFS** ([`explore`]) on the
+//! * **Fleet-parallel sharded BFS** ([`explore()`]) on the
 //!   [`sno_fleet::WorkerPool`], deterministic at any shard/thread
 //!   count — certificates are byte-identical no matter how they were
 //!   computed.

@@ -37,7 +37,7 @@ pub enum FaultClass {
     /// no program move between them).
     Corrupt,
     /// One processor reboots: its state resets to
-    /// [`Protocol::initial_state`](sno_engine::Protocol::initial_state).
+    /// [`Protocol::initial_state`].
     Crash,
     /// One topology event fires (at most once, in script order).
     /// Restricted to link events: crashes and joins change the node

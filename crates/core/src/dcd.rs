@@ -11,7 +11,7 @@
 //!
 //! * every processor maintains a believed root distance
 //!   `dist ∈ {0, …, N}` where `N` (the known bound) is the **infinity
-//!   sentinel** [`DcdState::INF`], plus the parent port of its believed
+//!   sentinel** [`DcdState::inf`], plus the parent port of its believed
 //!   shortest path;
 //! * the root drives `dist := 0`; every other processor drives
 //!   `dist := min(1 + min_q dist_q, N)` and points its parent at the
@@ -40,7 +40,7 @@ use sno_graph::NodeId;
 /// Per-processor state of [`Dcd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DcdState {
-    /// The believed root distance; `n_bound` (= [`DcdState::INF`] for
+    /// The believed root distance; `n_bound` (= [`DcdState::inf`] for
     /// that network) is the infinity sentinel.
     pub dist: u32,
     /// The port toward the believed parent on the shortest root path;

@@ -63,9 +63,8 @@ pub use sno_graph::{CsrDelta, TopologyEvent, TopologyRepair};
 pub use store::{ConfigStore, DeltaTxn, ShardTxn};
 
 /// Deterministic engine telemetry (re-exported from `sno-telemetry`):
-/// the [`Meter`](telemetry::Meter) trait the simulation is generic over,
-/// the zero-overhead [`NoopMeter`](telemetry::NoopMeter) default, the
-/// collecting [`CounterMeter`](telemetry::CounterMeter), mergeable
+/// the [`Meter`] trait the simulation is generic over, the zero-overhead
+/// [`NoopMeter`] default, the collecting [`CounterMeter`], mergeable
 /// log-bucketed histograms, exact digests, and Chrome trace-event
 /// export.
 pub use sno_telemetry as telemetry;

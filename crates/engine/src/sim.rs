@@ -36,11 +36,11 @@
 //!
 //! Writes themselves are **in place**: a single-writer step (any central
 //! daemon) splits the configuration around the writer and hands the
-//! protocol a zero-copy [`WriteTxn`](crate::protocol::WriteTxn), so a hub
-//! step performs no state clone and no heap traffic at all. Multi-writer
-//! steps (distributed and synchronous daemons) stage each writer's
-//! post-state in a pooled slot first — composite atomicity demands every
-//! statement read pre-step values — and swap the batch in together.
+//! protocol a zero-copy [`WriteTxn`], so a hub step performs no state
+//! clone and no heap traffic at all. Multi-writer steps (distributed and
+//! synchronous daemons) stage each writer's post-state in a pooled slot
+//! first — composite atomicity demands every statement read pre-step
+//! values — and swap the batch in together.
 //! * **read side** — a dirtied neighbor re-evaluates **only the single
 //!   back-port** pointing at the writer
 //!   ([`reevaluate_port`](crate::protocol::Protocol::reevaluate_port)),
@@ -59,29 +59,32 @@
 //! pooled slots — an `O(Δ)` whole-state copy per writer, paid exactly in
 //! the dense synchronous rounds the paper's round-complexity analyses
 //! live in. The configuration now lives in a generation-stamped
-//! [`ConfigStore`](crate::store::ConfigStore): writers mutate their
-//! slots **in place**, readers resolve through the round's
-//! copy-on-write stash, and a pre-round copy is made only when a later
-//! writer's declared [`ApplyProfile`](crate::protocol::ApplyProfile)
-//! reads actually conflict with an earlier writer's declared writes
+//! [`ConfigStore`]: writers mutate their slots **in place**, readers
+//! resolve through the round's copy-on-write stash, and a pre-round copy
+//! is made only when a later writer's declared [`ApplyProfile`] reads
+//! actually conflict with an earlier writer's declared writes
 //! (readers execute before non-readers, so declared-read-free statements
 //! can never force a copy). Commit is the next round's bulk epoch bump.
 //!
 //! # The sharded synchronous executor
 //!
-//! [`EngineMode::SyncSharded`] additionally runs the expensive phases of
-//! a dense round — guard **resolution** of the selected writers, the
-//! **write phase** of read-free writers, and the dirty-node guard
+//! Sharding is configuration, not a mode: once
+//! [`Simulation::configure_sync_sharding`] sets more than one shard, the
+//! incremental modes ([`EngineMode::NodeDirty`] and
+//! [`EngineMode::PortDirty`]) run the expensive phases of a dense round
+//! — guard **resolution** of the selected writers, the **write phase**
+//! of read-free writers, and the dirty-node guard (or port)
 //! **re-evaluation** — in parallel over contiguous, degree-balanced
 //! graph shards ([`sno_graph::Partition`]), on a persistent `sno-fleet`
 //! [`WorkerPool`]. Everything order-sensitive (daemon selection, the
 //! reader write sub-phase, the enabled-list fold) stays serial and runs
 //! in NodeId order, and per-shard results fold back in shard (= NodeId)
 //! order, so traces are **byte-identical for any shard and thread
-//! count** — the campaign determinism CI gates hold under `SyncSharded`
-//! exactly as they do across the other three modes. Sparse steps fall
-//! back to the serial node-dirty path (identical semantics), so the mode
-//! is safe for any daemon, not just the synchronous one.
+//! count** — the campaign determinism CI gates hold for every shard
+//! count exactly as they do across the three modes. Sparse steps fall
+//! back to the serial incremental path (identical semantics), so
+//! sharding is safe for any daemon, not just the synchronous one.
+//! [`EngineMode::FullSweep`], the reference, ignores the partition.
 //!
 //! The daemon-visible enabled set is kept in ascending NodeId order, the
 //! same order a full sweep produces, so every daemon selection — and hence
@@ -112,7 +115,9 @@ use crate::store::{ConfigStore, ShardTxn};
 /// Which guard-invalidation strategy a [`Simulation`] runs.
 ///
 /// All modes produce bit-for-bit identical executions; they differ only in
-/// how much work a step costs. See the module docs.
+/// how much work a step costs. Sharding is orthogonal to the mode:
+/// [`Simulation::configure_sync_sharding`] parallelizes the dense steps
+/// of the incremental modes. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Re-evaluate every guard twice per step, like a naive engine — the
@@ -127,21 +132,11 @@ pub enum EngineMode {
     /// The default.
     #[default]
     PortDirty,
-    /// Node-granular dirtiness with **shard-parallel** execution of
-    /// dense rounds: guard resolution, read-free delta writes, and
-    /// dirty-node re-evaluation fan out over degree-balanced graph
-    /// shards (see the module docs). Sparse steps — and everything when
-    /// the simulation is left at its default one-shard configuration
-    /// ([`Simulation::configure_sync_sharding`]) — take the serial
-    /// node-dirty path, so the mode is safe for every daemon and
-    /// protocol and its traces are byte-identical to the other modes
-    /// for any shard or thread count.
-    SyncSharded,
 }
 
 /// Writers (or dirty nodes) below this count take the serial path even
-/// in [`EngineMode::SyncSharded`] — a phase handoff to the pool's
-/// workers costs more than a sparse step does. Tunable per simulation
+/// on a sharded simulation — a phase handoff to the pool's workers
+/// costs more than a sparse step does. Tunable per simulation
 /// via [`Simulation::set_sync_parallel_threshold`] (tests and benches pin
 /// it to 0 to force the parallel phases on small graphs).
 pub const DEFAULT_SYNC_THRESHOLD: usize = 192;
@@ -229,8 +224,7 @@ pub struct Simulation<'a, P: Protocol, M: Meter = NoopMeter> {
     /// The active guard-invalidation strategy.
     mode: EngineMode,
     /// `true` iff the port-dirty machinery is live: mode is
-    /// [`EngineMode::PortDirty`] or [`EngineMode::SyncSharded`] *and*
-    /// the protocol opted in.
+    /// [`EngineMode::PortDirty`] *and* the protocol opted in.
     port_cache_active: bool,
     // --- Incremental enabled-set cache (authoritative when the mode is
     // not FullSweep) ---
@@ -273,9 +267,8 @@ pub struct Simulation<'a, P: Protocol, M: Meter = NoopMeter> {
     /// Per-writer [`ApplyProfile`]s of the current multi-writer step
     /// (aligned with `scratch_pending`).
     pending_profiles: Vec<ApplyProfile>,
-    // --- Sharded synchronous executor (EngineMode::SyncSharded).
-    // Serial by default; `configure_sync_sharding` arms the parallel
-    // phases. ---
+    // --- Sharded executor of the incremental modes. Serial by default;
+    // `configure_sync_sharding` arms the parallel phases. ---
     /// The degree-balanced contiguous partition (`None` until sharding
     /// is configured with more than one shard).
     sync_partition: Option<Partition>,
@@ -311,11 +304,11 @@ pub struct Simulation<'a, P: Protocol, M: Meter = NoopMeter> {
     /// which runs them on the caller and never spawns). Shared (`Arc`)
     /// so a lab campaign can run many cells on one pool.
     sync_pool: Arc<WorkerPool>,
-    // --- Sharded port-dirty pass scratch (EngineMode::SyncSharded with
-    // a port-separable protocol): the writer-side refresh and the
-    // reader-side port re-evaluations run shard-parallel, bridged by a
-    // serial boundary exchange that reconstructs the canonical
-    // dirty-port queue. ---
+    // --- Sharded port-dirty pass scratch (a sharded PortDirty
+    // simulation of a port-separable protocol): the writer-side refresh
+    // and the reader-side port re-evaluations run shard-parallel,
+    // bridged by a serial boundary exchange that reconstructs the
+    // canonical dirty-port queue. ---
     /// Per-writer-shard buckets of pending indices (all writers, not
     /// just read-free ones), in selection order.
     shard_port_jobs: Vec<Vec<u32>>,
@@ -831,11 +824,10 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
         let was_full = self.mode == EngineMode::FullSweep;
         self.mode = mode;
         // The port cache composes with the sharded executor: sparse
-        // sync-sharded steps run the serial port-dirty pass, dense ones
-        // its shard-parallel counterpart — either way the o(Δ) port win
+        // sharded steps run the serial port-dirty pass, dense ones its
+        // shard-parallel counterpart — either way the o(Δ) port win
         // applies, which is what makes hub-heavy sharded rounds fast.
-        self.port_cache_active = matches!(mode, EngineMode::PortDirty | EngineMode::SyncSharded)
-            && self.protocol.port_separable();
+        self.port_cache_active = mode == EngineMode::PortDirty && self.protocol.port_separable();
         if self.port_cache_active && self.port_words.len() != self.net.graph().csr_len() {
             // First entry into port mode on this simulation: allocate the
             // cache arrays (off the hot path).
@@ -877,11 +869,14 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
         self.port_cache_active
     }
 
-    /// Arms [`EngineMode::SyncSharded`]'s parallel phases: partition the
-    /// graph into `shards` contiguous degree-balanced ranges
-    /// ([`Partition::degree_balanced`]) and run dense rounds on a
-    /// [`WorkerPool`] of `threads` participants. With `shards <= 1` (the
-    /// default) the mode stays fully serial.
+    /// Arms the sharded executor's parallel phases: partition the graph
+    /// into `shards` contiguous degree-balanced ranges
+    /// ([`Partition::degree_balanced`]) and run the dense rounds of the
+    /// incremental modes ([`EngineMode::NodeDirty`],
+    /// [`EngineMode::PortDirty`]) on a [`WorkerPool`] of `threads`
+    /// participants. With `shards <= 1` (the default) stepping stays
+    /// fully serial. [`EngineMode::FullSweep`] ignores the partition: the
+    /// reference engine always sweeps serially.
     ///
     /// Safe at any time; affects only how much a step costs, never what
     /// it computes — traces are byte-identical for every `(shards,
@@ -946,12 +941,22 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
         }
     }
 
-    /// Overrides the writer/dirty-count threshold below which
-    /// [`EngineMode::SyncSharded`] steps stay serial (default
-    /// [`DEFAULT_SYNC_THRESHOLD`]). Benches tune it; differential tests
-    /// pin it to 0 to force the parallel phases on small graphs.
+    /// Overrides the writer/dirty-count threshold below which sharded
+    /// steps stay serial (default [`DEFAULT_SYNC_THRESHOLD`]). Benches
+    /// tune it; differential tests pin it to 0 to force the parallel
+    /// phases on small graphs.
     pub fn set_sync_parallel_threshold(&mut self, threshold: usize) {
         self.sync_threshold = threshold;
+    }
+
+    /// `true` iff a dense step may take the sharded executor's parallel
+    /// phases: an incremental mode (the full sweep ignores the
+    /// partition), more than one shard, and more than one pool
+    /// participant.
+    fn sharding_armed(&self) -> bool {
+        self.mode != EngineMode::FullSweep
+            && self.sync_partition.is_some()
+            && self.sync_pool.threads() > 1
     }
 
     /// The number of shards the sharded executor is configured with
@@ -969,22 +974,6 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
     /// at zero through arbitrarily dense synchronous rounds.
     pub fn stage_clone_count(&self) -> u64 {
         self.store.clone_count()
-    }
-
-    /// Back-compat wrapper around [`Simulation::set_mode`]: `true` enters
-    /// the full-sweep reference mode, `false` returns to the default
-    /// [`EngineMode::PortDirty`].
-    pub fn set_full_sweep(&mut self, on: bool) {
-        self.set_mode(if on {
-            EngineMode::FullSweep
-        } else {
-            EngineMode::PortDirty
-        });
-    }
-
-    /// `true` iff the full-sweep reference mode is active.
-    pub fn is_full_sweep(&self) -> bool {
-        self.mode == EngineMode::FullSweep
     }
 
     /// The processors with at least one enabled action, with action
@@ -1244,11 +1233,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
         self.pending_profiles.clear();
         // The sharded executor's parallel phases only pay off on dense
         // steps; sparse ones run the identical serial code below.
-        let sharded_par = self.mode == EngineMode::SyncSharded
-            && multi
-            && self.sync_pool.threads() > 1
-            && self.sync_partition.is_some()
-            && choices.len() >= self.sync_threshold;
+        let sharded_par = multi && self.sharding_armed() && choices.len() >= self.sync_threshold;
         self.scratch_chosen.clear();
         self.scratch_chosen.resize(enabled.len(), false);
         let mut chosen = std::mem::take(&mut self.scratch_chosen);
@@ -1470,9 +1455,7 @@ impl<'a, P: Protocol, M: Meter> Simulation<'a, P, M> {
             } else {
                 self.port_dirty_pass(&mut enabled, &pending);
             }
-        } else if self.mode == EngineMode::SyncSharded
-            && self.sync_pool.threads() > 1
-            && self.sync_partition.is_some()
+        } else if self.sharding_armed()
             && dirty.len() >= self.sync_threshold
             && dirty.len() * 4 >= self.net.node_count()
         {
@@ -2935,25 +2918,28 @@ mod tests {
     fn sync_sharded_matches_other_modes_with_forced_parallelism() {
         // Threshold 0 forces the parallel resolve/write/re-eval phases
         // on every multi-writer step, even on this tiny graph — the
-        // four-way lockstep then covers the sharded machinery itself.
+        // lockstep then covers the sharded machinery itself: the
+        // sharded port pass under PortDirty, and the sharded node
+        // re-evaluation under NodeDirty.
         let g = sno_graph::generators::torus(4, 3);
         let net = Network::new(g, NodeId::new(0));
-        let modes = [
-            EngineMode::FullSweep,
-            EngineMode::NodeDirty,
-            EngineMode::PortDirty,
-            EngineMode::SyncSharded,
+        let legs = [
+            (EngineMode::FullSweep, None),
+            (EngineMode::NodeDirty, None),
+            (EngineMode::PortDirty, None),
+            (EngineMode::PortDirty, Some((3, 2))),
+            (EngineMode::NodeDirty, Some((3, 2))),
         ];
         for daemon_seed in [3u64, 9] {
-            let mut sims: Vec<_> = modes
+            let mut sims: Vec<_> = legs
                 .iter()
-                .map(|&m| {
+                .map(|&(m, sharding)| {
                     use rand::SeedableRng as _;
                     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
                     let mut s = Simulation::from_random(&net, HopDistance, &mut rng);
                     s.set_mode(m);
-                    if m == EngineMode::SyncSharded {
-                        s.configure_sync_sharding(3, 2);
+                    if let Some((shards, threads)) = sharding {
+                        s.configure_sync_sharding(shards, threads);
                         s.set_sync_parallel_threshold(0);
                         assert_eq!(s.sync_shard_count(), 3);
                     }
@@ -2991,7 +2977,6 @@ mod tests {
         let run = |shards: usize, threads: usize, threshold: usize| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(7);
             let mut sim = Simulation::from_random(&net, HopDistance, &mut rng);
-            sim.set_mode(EngineMode::SyncSharded);
             sim.configure_sync_sharding(shards, threads);
             sim.set_sync_parallel_threshold(threshold);
             let r = sim.run_until_silent(&mut Synchronous::new(), 10_000);
@@ -3017,7 +3002,6 @@ mod tests {
         let net = Network::new(g, NodeId::new(0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut sim = Simulation::from_random(&net, HopDistance, &mut rng);
-        sim.set_mode(EngineMode::SyncSharded);
         sim.run_until_silent(&mut Synchronous::new(), 10_000);
         assert!(
             sim.stage_clone_count() > 0,
@@ -3044,8 +3028,11 @@ mod tests {
         let net = net(10);
         let mut a = Simulation::from_initial(&net, HopDistance);
         let mut b = Simulation::from_initial(&net, HopDistance);
-        b.set_full_sweep(true);
-        assert!(b.is_full_sweep() && !a.is_full_sweep());
+        b.set_mode(EngineMode::FullSweep);
+        assert_eq!(
+            (a.mode(), b.mode()),
+            (EngineMode::PortDirty, EngineMode::FullSweep)
+        );
         let mut da = DistributedRandom::seeded(3);
         let mut db = DistributedRandom::seeded(3);
         loop {
@@ -3104,11 +3091,11 @@ mod tests {
         use rand::SeedableRng as _;
         let g = sno_graph::generators::torus(4, 3);
         let base = Network::with_bound(g, NodeId::new(0), 14);
-        let modes = [
-            EngineMode::FullSweep,
-            EngineMode::NodeDirty,
-            EngineMode::PortDirty,
-            EngineMode::SyncSharded,
+        let legs = [
+            (EngineMode::FullSweep, false),
+            (EngineMode::NodeDirty, false),
+            (EngineMode::PortDirty, false),
+            (EngineMode::PortDirty, true),
         ];
         let schedule: [(u64, TopologyEvent); 4] = [
             (
@@ -3138,13 +3125,13 @@ mod tests {
                 },
             ),
         ];
-        let mut sims: Vec<_> = modes
+        let mut sims: Vec<_> = legs
             .iter()
-            .map(|&m| {
+            .map(|&(m, sharded)| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(21);
                 let mut s = Simulation::from_random(&base, HopDistance, &mut rng);
                 s.set_mode(m);
-                if m == EngineMode::SyncSharded {
+                if sharded {
                     s.configure_sync_sharding(3, 2);
                     s.set_sync_parallel_threshold(0);
                 }
@@ -3190,12 +3177,16 @@ mod tests {
         let mut sim = Simulation::from_initial(&net, HopDistance);
         let mut daemon = CentralRoundRobin::new();
         for i in 0..50 {
-            sim.set_full_sweep(i % 3 == 0);
+            sim.set_mode(if i % 3 == 0 {
+                EngineMode::FullSweep
+            } else {
+                EngineMode::PortDirty
+            });
             if sim.step(&mut daemon).is_silent() {
                 break;
             }
         }
-        sim.set_full_sweep(false);
+        sim.set_mode(EngineMode::PortDirty);
         let run = sim.run_until_silent(&mut daemon, 10_000);
         assert!(run.converged);
         assert!(hop_distance_legit(&net, sim.config()));

@@ -9,8 +9,8 @@
 //!
 //! * `sno-lab`'s campaign runner fans seed chunks of scenario cells out
 //!   over one pool per campaign;
-//! * `sno-engine`'s `SyncSharded` executor runs the per-shard phases of
-//!   a synchronous round — guard resolution, delta-staged writes, dirty
+//! * `sno-engine`'s sharded executor runs the per-shard phases of a
+//!   dense synchronous round — guard resolution, delta-staged writes, dirty
 //!   re-evaluation — on a pool that stays warm across steps;
 //! * `sno-check` drives its sharded breadth-first search levels.
 //!

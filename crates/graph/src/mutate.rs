@@ -11,7 +11,9 @@
 //!
 //! # The incremental-repair contract
 //!
-//! [`Graph::add_edge`], [`Graph::remove_edge`], [`Graph::add_node`], and
+//! [`Graph::add_edge`](crate::Graph::add_edge),
+//! [`Graph::remove_edge`](crate::Graph::remove_edge),
+//! [`Graph::add_node`](crate::Graph::add_node), and
 //! [`Graph::detach_node`](crate::Graph::detach_node) mutate the CSR
 //! arrays in place and return deltas with this invariant: rebuilding
 //! from scratch with [`Graph::from_edges`](crate::Graph::from_edges)

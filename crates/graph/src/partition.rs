@@ -1,9 +1,10 @@
 //! Degree-balanced edge-cut partitioning of the CSR graph.
 //!
-//! The engine's sharded synchronous executor (`sno-engine`'s
-//! `EngineMode::SyncSharded`) splits a round's work — guard resolution,
-//! delta-staged writes, dirty-node re-evaluation — across graph
-//! *shards*. Two properties make a partition useful there:
+//! The engine's sharded executor (armed on `sno-engine`'s incremental
+//! modes by `Simulation::configure_sync_sharding`) splits a round's
+//! work — guard resolution, delta-staged writes, dirty-node
+//! re-evaluation — across graph *shards*. Two properties make a
+//! partition useful there:
 //!
 //! 1. **contiguous NodeId ranges** — every per-node engine array
 //!    (configuration slots, action counts, CSR port words) splits into

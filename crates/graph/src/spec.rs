@@ -5,7 +5,7 @@
 //! concrete size and seed with [`GeneratorSpec::build`]. Campaign runners
 //! (`sno-lab`) put these in scenario matrices, persist them in JSON
 //! reports, and parse them back from CLI arguments — which is why the
-//! [`Display`](std::fmt::Display) and [`FromStr`](std::str::FromStr)
+//! [`Display`](std::fmt::Display) and [`FromStr`]
 //! implementations round-trip exactly.
 
 use std::fmt;

@@ -443,7 +443,7 @@ pub struct SuiteCell {
 ///     3.1.1 over the self-stabilizing token circulation, seeded by the
 ///     explicit legitimate cycle because its product space (~10^11
 ///     configurations) cannot be scanned; `L` is that cycle
-///     (extensionally — see [`dftno_legit_cycle`]'s closure caveat) and
+///     (extensionally — see `dftno_legit_cycle`'s closure caveat) and
 ///     the pinned verdict is its closure/containment under the
 ///     corruption envelope.
 pub fn cert_suite() -> Vec<SuiteCell> {

@@ -53,7 +53,7 @@ pub struct RunArgs {
     /// Write the `sno-lab/v1` JSON document here.
     pub json: Option<String>,
     /// Write a Chrome trace-event JSON of the first cell's first seed
-    /// (re-run under the sharded synchronous executor) here.
+    /// (re-run on the sharded executor) here.
     pub trace: Option<String>,
 }
 
@@ -99,14 +99,14 @@ RUN OPTIONS (comma-separated lists):
     --max-steps N         per-run step budget
     --name NAME           campaign name                    [default: cli]
     --threads N           worker threads                   [default: all cores]
-    --mode MODE           engine mode: full|node|port|sync [default: SNO_ENGINE_MODE, else port]
-    --shards N            shard count for --mode sync      [default: SNO_SYNC_SHARDS, else 1]
+    --mode MODE           engine mode: full|node|port      [default: SNO_ENGINE_MODE, else port]
+    --shards N            shards for the node/port engines [default: SNO_SYNC_SHARDS, else 1]
     --json PATH           also write the sno-lab/v1 JSON document to PATH
     --metrics             collect deterministic engine counters per cell (adds a
                           Metrics table and a `metrics` JSON section)
     --trace PATH          write a Chrome trace-event JSON (Perfetto-loadable) of the
-                          first cell's first seed, re-run under the sharded
-                          synchronous executor with one lane per shard
+                          first cell's first seed, re-run on the port-dirty
+                          engine's sharded executor with one lane per shard
 
 CHECK OPTIONS:
     --stack NAME          enumerable stack: hop, bfs-tree, cd-token, fixed-token,
@@ -257,10 +257,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "full" | "full-sweep" => sno_engine::EngineMode::FullSweep,
                     "node" | "node-dirty" => sno_engine::EngineMode::NodeDirty,
                     "port" | "port-dirty" => sno_engine::EngineMode::PortDirty,
-                    "sync" | "sync-sharded" => sno_engine::EngineMode::SyncSharded,
                     other => {
                         return Err(format!(
-                            "unknown engine mode `{other}` (expected full, node, port, or sync)"
+                            "unknown engine mode `{other}` (expected full, node, or port)"
                         ))
                     }
                 });
@@ -300,16 +299,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     if !missing.is_empty() {
         return Err(format!("missing required {}", missing.join(", ")));
     }
-    // `--shards` needs the sharded executor, but the mode may also come
-    // from the SNO_ENGINE_MODE environment fallback — only an *explicit*
-    // conflicting `--mode` is rejected here; with no flag the runner
-    // resolves the mode at campaign start (and ignores the shard count
-    // unless it resolves to the sharded executor).
-    if engine.shards.is_some()
-        && engine.mode.is_some()
-        && engine.mode != Some(sno_engine::EngineMode::SyncSharded)
+    // The full-sweep reference never shards, so an explicit
+    // `--mode full` with shards is a contradiction. A full sweep that
+    // comes from the SNO_ENGINE_MODE fallback just ignores the shards.
+    if engine.mode == Some(sno_engine::EngineMode::FullSweep)
+        && engine.shards.is_some_and(|k| k > 1)
     {
-        return Err("`--shards` requires `--mode sync`".into());
+        return Err("`--shards` above 1 requires `--mode node` or `--mode port`".into());
     }
     matrix.validate()?;
     Ok(Command::Run(Box::new(RunArgs {
@@ -662,20 +658,20 @@ mod tests {
     fn parses_engine_mode_and_shards() {
         let cmd = parse_args(&args(
             "run --topologies torus --sizes 16 --protocols dftno/oracle-token \
-             --daemons synchronous --mode sync --shards 8",
+             --daemons synchronous --mode node --shards 8",
         ))
         .unwrap();
         let Command::Run(run) = cmd else {
             panic!("expected run");
         };
-        assert_eq!(run.engine.mode, Some(sno_engine::EngineMode::SyncSharded));
+        assert_eq!(run.engine.mode, Some(sno_engine::EngineMode::NodeDirty));
         assert_eq!(run.engine.shards, Some(8));
 
         for (name, mode) in [
             ("full", sno_engine::EngineMode::FullSweep),
             ("node", sno_engine::EngineMode::NodeDirty),
             ("port", sno_engine::EngineMode::PortDirty),
-            ("sync-sharded", sno_engine::EngineMode::SyncSharded),
+            ("port-dirty", sno_engine::EngineMode::PortDirty),
         ] {
             let cmd = parse_args(&args(&format!(
                 "run --topologies ring --sizes 8 --protocols stno/oracle-tree \
@@ -694,14 +690,32 @@ mod tests {
         ))
         .unwrap_err();
         assert!(e.contains("warp"), "{e}");
+        // The sharded executor is configuration of the incremental
+        // modes, not a mode of its own.
         let e = parse_args(&args(
             "run --topologies ring --sizes 8 --protocols stno/oracle-tree \
-             --daemons synchronous --mode port --shards 4",
+             --daemons synchronous --mode sync",
         ))
         .unwrap_err();
-        assert!(e.contains("--mode sync"), "{e}");
-        // Without an explicit --mode the env fallback may still resolve
-        // to the sharded executor, so a bare --shards must parse.
+        assert!(e.contains("expected full, node, or port"), "{e}");
+        // The full-sweep reference never shards.
+        let e = parse_args(&args(
+            "run --topologies ring --sizes 8 --protocols stno/oracle-tree \
+             --daemons synchronous --mode full --shards 4",
+        ))
+        .unwrap_err();
+        assert!(e.contains("--shards"), "{e}");
+        let cmd = parse_args(&args(
+            "run --topologies ring --sizes 8 --protocols stno/oracle-tree \
+             --daemons synchronous --mode full --shards 1",
+        ))
+        .unwrap();
+        let Command::Run(run) = cmd else {
+            panic!("expected run");
+        };
+        assert_eq!(run.engine.mode, Some(sno_engine::EngineMode::FullSweep));
+        // With no --mode the shards arm the resolved (env or default)
+        // incremental mode.
         let cmd = parse_args(&args(
             "run --topologies ring --sizes 8 --protocols stno/oracle-tree \
              --daemons synchronous --shards 4",
@@ -714,7 +728,7 @@ mod tests {
         assert_eq!(run.engine.mode, None);
         let e = parse_args(&args(
             "run --topologies ring --sizes 8 --protocols stno/oracle-tree \
-             --daemons synchronous --mode sync --shards 0",
+             --daemons synchronous --mode port --shards 0",
         ))
         .unwrap_err();
         assert!(e.contains("at least 1"), "{e}");
@@ -724,7 +738,7 @@ mod tests {
     fn parses_metrics_and_trace_flags() {
         let cmd = parse_args(&args(
             "run --topologies hubs:3 --sizes 24 --protocols stno/oracle-tree \
-             --daemons synchronous --mode sync --shards 4 --metrics --trace out.json",
+             --daemons synchronous --shards 4 --metrics --trace out.json",
         ))
         .unwrap();
         let Command::Run(run) = cmd else {

@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use sno_telemetry::{Counter, CounterMeter, ExchangeBreakdown, Histogram, Metric};
+use sno_telemetry::{escape_json, Counter, CounterMeter, ExchangeBreakdown, Histogram, Metric};
 
 use crate::matrix::ScenarioMatrix;
 use crate::runner::CellOutcome;
@@ -511,23 +511,7 @@ fn histogram_json(h: &Histogram) -> String {
 }
 
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", escape_json(s))
 }
 
 /// A minimal JSON document builder (this offline build has no serde).

@@ -84,7 +84,7 @@ pub struct CellOutcome {
     /// campaign path is monomorphized over the no-op meter and collects
     /// nothing.
     pub metrics: Option<CounterMeter>,
-    /// Boundary-traffic breakdown of the sharded synchronous executor:
+    /// Boundary-traffic breakdown of the sharded port-dirty executor:
     /// cross-shard port hand-offs per exchange phase plus per-destination
     /// shard counts. Populated only for metered campaigns that actually
     /// ran the sharded executor and crossed a boundary — partition
@@ -104,23 +104,22 @@ enum Mode {
 }
 
 /// Engine configuration a campaign applies to every simulation it
-/// drives: the guard-invalidation mode and — for
-/// [`EngineMode::SyncSharded`](sno_engine::EngineMode) — the shard
-/// count.
+/// drives: the guard-invalidation mode and the shard count of the
+/// incremental modes' sharded executor.
 ///
 /// `None` fields fall back to the environment
-/// (`SNO_ENGINE_MODE` / `SNO_SYNC_SHARDS`, plus the legacy
-/// `SNO_ENGINE_FULL_SWEEP=1`), which itself falls back to the engine
-/// default. The `sno-lab run --mode/--shards` flags populate this;
-/// reports are byte-identical under every choice — only the cost of a
+/// (`SNO_ENGINE_MODE` / `SNO_SYNC_SHARDS`), which itself falls back to
+/// the engine default. The `sno-lab run --mode/--shards` flags populate
+/// this; reports are byte-identical under every choice — only the cost of a
 /// step changes, never its result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Explicit engine mode (overrides the environment).
     pub mode: Option<sno_engine::EngineMode>,
-    /// Shard count for the sharded synchronous executor (engine worker
-    /// threads follow the shard count). Ignored unless the resolved
-    /// mode is `SyncSharded`.
+    /// Shard count for the sharded executor (engine worker threads
+    /// follow the shard count). Above 1 it arms the parallel phases of
+    /// the resolved incremental mode; the full-sweep reference ignores
+    /// it.
     pub shards: Option<usize>,
     /// Collect deterministic engine counters
     /// ([`sno_engine::CounterMeter`]) for every cell. Off by default:
@@ -180,9 +179,10 @@ fn configure_engine<P: Protocol, M: Meter>(
 ) {
     if let Some(mode) = options.resolved_mode() {
         sim.set_mode(mode);
-        if mode == sno_engine::EngineMode::SyncSharded {
-            sim.configure_sync_sharding_with_pool(options.resolved_shards(), Arc::clone(pool));
-        }
+    }
+    let shards = options.resolved_shards();
+    if shards > 1 {
+        sim.configure_sync_sharding_with_pool(shards, Arc::clone(pool));
     }
 }
 
@@ -583,12 +583,12 @@ where
     let mut daemon = cell.daemon.build(net, matrix.seed_start ^ DAEMON_SALT);
     let mut sim = Simulation::from_initial_with_meter(net, protocol, M::default());
     // Differential hooks: `--mode` (via `EngineOptions`) or
-    // `SNO_ENGINE_MODE={full-sweep,node-dirty,port-dirty,sync-sharded}`
-    // pins the engine mode for the whole campaign (the legacy
-    // `SNO_ENGINE_FULL_SWEEP=1` still forces the reference engine).
-    // Reports must come out byte-identical under every mode, shard
-    // count, and thread count — CI regenerates `BENCH_campaign.json`
-    // under all of them. Sharded simulations share the campaign pool.
+    // `SNO_ENGINE_MODE={full-sweep,node-dirty,port-dirty}` pins the
+    // engine mode for the whole campaign, and `--shards` (via
+    // `EngineOptions`) or `SNO_SYNC_SHARDS` its shard count. Reports
+    // must come out byte-identical under every mode, shard count, and
+    // thread count — CI regenerates `BENCH_campaign.json` under all of
+    // them. Sharded simulations share the campaign pool.
     configure_engine(&mut sim, options, pool);
     // Setup work (simulation construction, the mode switch above)
     // happens once per *seed chunk*, so letting it into the counters
@@ -1124,11 +1124,11 @@ fn pick_removable_link(g: &Graph, rng: &mut dyn RngCore) -> Option<(NodeId, Node
         .find(|&(u, v)| g.is_connected_without(u, v))
 }
 
-/// Renders the sharded synchronous executor's phase trace of the first
-/// seed of the matrix's first cell as a Chrome trace-event JSON document
+/// Renders the sharded executor's phase trace of the first seed of the
+/// matrix's first cell as a Chrome trace-event JSON document
 /// (`chrome://tracing` / Perfetto) — the `sno-lab run --trace` backend.
 ///
-/// The re-run always uses [`EngineMode::SyncSharded`](sno_engine::EngineMode)
+/// The re-run always uses [`EngineMode::PortDirty`](sno_engine::EngineMode::PortDirty)
 /// with the options' resolved shard count (raised to at least 2 — a
 /// one-shard trace has nothing to attribute) and a parallel-activation
 /// threshold of zero, so the guard/write/re-eval phases fan out over the
@@ -1183,7 +1183,7 @@ impl StackVisitor for TraceVisitor<'_> {
             .daemon
             .build(net, self.matrix.seed_start ^ DAEMON_SALT);
         let mut sim = Simulation::from_initial(net, protocol);
-        sim.set_mode(sno_engine::EngineMode::SyncSharded);
+        sim.set_mode(sno_engine::EngineMode::PortDirty);
         sim.configure_sync_sharding(self.shards, self.shards);
         sim.set_sync_parallel_threshold(0);
         sim.set_tracer(TraceBuffer::new());
@@ -1210,52 +1210,37 @@ impl StackVisitor for TraceVisitor<'_> {
 /// self-describing.
 pub fn engine_mode_label(options: &EngineOptions) -> String {
     use sno_engine::EngineMode;
-    let name = |m| match m {
-        EngineMode::FullSweep => "full-sweep",
-        EngineMode::NodeDirty => "node-dirty",
-        EngineMode::PortDirty => "port-dirty",
-        EngineMode::SyncSharded => "sync-sharded",
+    let mode = match options.resolved_mode() {
+        // The reference engine ignores any shard count.
+        Some(EngineMode::FullSweep) => return "full-sweep".to_string(),
+        Some(EngineMode::NodeDirty) => "node-dirty",
+        Some(EngineMode::PortDirty) => "port-dirty",
+        None => "port-dirty (default)",
     };
-    match options.resolved_mode() {
-        Some(EngineMode::SyncSharded) => {
-            format!("sync-sharded (shards {})", options.resolved_shards())
-        }
-        Some(m) => name(m).to_string(),
-        None => "port-dirty (default)".to_string(),
+    match options.resolved_shards() {
+        1 => mode.to_string(),
+        k => format!("{mode}, shards {k}"),
     }
 }
 
-/// Back-compat alias of [`engine_mode_label`] for environment-only
-/// resolution.
-pub fn active_engine_mode_name() -> String {
-    engine_mode_label(&EngineOptions::default())
-}
-
-/// The engine mode requested via the environment, if any: the
-/// `SNO_ENGINE_MODE` name, or the legacy `SNO_ENGINE_FULL_SWEEP=1`.
-/// Unknown names panic — a silently ignored differential hook would make
-/// the CI determinism gates vacuous.
+/// The engine mode requested via the `SNO_ENGINE_MODE` environment
+/// variable, if any. Unknown names panic — a silently ignored
+/// differential hook would make the CI determinism gates vacuous.
 fn engine_mode_from_env() -> Option<sno_engine::EngineMode> {
     use sno_engine::EngineMode;
-    if std::env::var_os("SNO_ENGINE_FULL_SWEEP").is_some_and(|v| v == "1") {
-        return Some(EngineMode::FullSweep);
-    }
     let v = std::env::var("SNO_ENGINE_MODE").ok()?;
     match v.as_str() {
         "full-sweep" => Some(EngineMode::FullSweep),
         "node-dirty" => Some(EngineMode::NodeDirty),
         "port-dirty" => Some(EngineMode::PortDirty),
-        "sync-sharded" | "sync" => Some(EngineMode::SyncSharded),
         other => panic!(
-            "unknown SNO_ENGINE_MODE {other:?} (expected full-sweep, node-dirty, port-dirty, \
-             or sync-sharded)"
+            "unknown SNO_ENGINE_MODE {other:?} (expected full-sweep, node-dirty, or port-dirty)"
         ),
     }
 }
 
 /// The shard count requested via `SNO_SYNC_SHARDS`, if any (the
-/// `--shards` flag overrides it). Only consulted when the resolved mode
-/// is the sharded executor.
+/// `--shards` flag overrides it).
 fn sync_shards_from_env() -> Option<usize> {
     let v = std::env::var("SNO_SYNC_SHARDS").ok()?;
     Some(
@@ -1455,7 +1440,7 @@ mod tests {
             .seeds(0, 2)
             .max_steps(100_000);
         let options = EngineOptions {
-            mode: Some(sno_engine::EngineMode::SyncSharded),
+            mode: Some(sno_engine::EngineMode::PortDirty),
             shards: Some(4),
             metrics: true,
         };
@@ -1624,7 +1609,7 @@ mod tests {
         for mode in [
             sno_engine::EngineMode::FullSweep,
             sno_engine::EngineMode::NodeDirty,
-            sno_engine::EngineMode::SyncSharded,
+            sno_engine::EngineMode::PortDirty,
         ] {
             let options = EngineOptions {
                 mode: Some(mode),

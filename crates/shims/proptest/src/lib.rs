@@ -4,8 +4,8 @@
 //! This build environment has no crate registry, so the workspace ships a
 //! minimal property-testing runner covering exactly the surface its test
 //! suites use: the [`proptest!`] macro (both `pat in strategy` and
-//! `ident: Type` argument forms), integer-range / tuple / [`Just`] /
-//! [`prop_oneof!`] / [`collection::vec`][crate::collection::vec] /
+//! `ident: Type` argument forms), integer-range / tuple /
+//! [`Just`](strategy::Just) / [`prop_oneof!`] / [`collection::vec`] /
 //! `prop_map` strategies, `any::<T>()`, and the `prop_assert*` macros.
 //!
 //! Differences from the real crate, deliberately accepted:
@@ -212,7 +212,7 @@ pub mod collection {
 
     use crate::strategy::Strategy;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: core::ops::Range<usize>,

@@ -737,14 +737,18 @@ impl Default for TraceBuffer {
 }
 
 /// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters). Shared by every hand-rolled JSON
-/// writer in the workspace so their escaping never drifts apart.
+/// backslashes, control characters — `\n`, `\r` and `\t` in their short
+/// forms). Shared by every hand-rolled JSON writer in the workspace so
+/// their escaping never drifts apart.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -755,6 +759,13 @@ pub fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escaping_uses_short_forms_for_common_controls() {
+        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(escape_json("\r\t"), "\\r\\t");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn counter_names_are_stable_and_dense() {

@@ -21,7 +21,7 @@
 //!
 //! Every pin reads [`testalloc::thread_heap_activity`], the measuring
 //! thread's own counter: all measured work runs on the caller's thread
-//! (the sync-round pin keeps `SyncSharded` at its default single shard),
+//! (the sync-round pin keeps the engine at its default single shard),
 //! so concurrent tests and harness threads cannot land in a window.
 
 use rand::rngs::StdRng;
@@ -113,37 +113,35 @@ fn dftno_sync_round_multi_writer_steps_are_clone_and_allocation_free() {
     // nothing. Warm-up replays the exact seeds the measured window
     // re-runs, so every pool (stash, records, profiles, enabled list)
     // is at its high-water mark before counting starts.
-    for mode in [EngineMode::PortDirty, EngineMode::SyncSharded] {
-        let net = Network::new(generators::torus(6, 6), NodeId::new(0));
-        let oracle = OracleToken::new(net.graph(), net.root());
-        let mut sim = Simulation::from_initial(&net, Dftno::new(oracle));
-        sim.set_mode(mode);
-        let mut daemon = sno::engine::daemon::Synchronous::new();
-        let seeds = 0..4u64;
-        for seed in seeds.clone() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            sim.reinit_random(&mut rng);
-            sim.run_until(&mut daemon, 300, |_| false);
-        }
-        let mut activity = 0;
-        let mut moves = 0;
-        for seed in seeds {
-            let mut rng = StdRng::seed_from_u64(seed);
-            // Re-initialization itself builds fresh random states (it
-            // allocates by design) — the measured window is the steps.
-            sim.reinit_random(&mut rng);
-            let before = testalloc::thread_heap_activity();
-            let run = sim.run_until(&mut daemon, 300, |_| false);
-            activity += testalloc::thread_heap_activity() - before;
-            moves += run.moves;
-        }
-        assert!(moves > 1_200, "dense multi-writer rounds actually ran");
-        assert_eq!(
-            activity, 0,
-            "{mode:?}: synchronous DFTNO rounds must stage without clones \
-             ({activity} heap operations observed)"
-        );
+    let net = Network::new(generators::torus(6, 6), NodeId::new(0));
+    let oracle = OracleToken::new(net.graph(), net.root());
+    let mut sim = Simulation::from_initial(&net, Dftno::new(oracle));
+    sim.set_mode(EngineMode::PortDirty);
+    let mut daemon = sno::engine::daemon::Synchronous::new();
+    let seeds = 0..4u64;
+    for seed in seeds.clone() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        sim.reinit_random(&mut rng);
+        sim.run_until(&mut daemon, 300, |_| false);
     }
+    let mut activity = 0;
+    let mut moves = 0;
+    for seed in seeds {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Re-initialization itself builds fresh random states (it
+        // allocates by design) — the measured window is the steps.
+        sim.reinit_random(&mut rng);
+        let before = testalloc::thread_heap_activity();
+        let run = sim.run_until(&mut daemon, 300, |_| false);
+        activity += testalloc::thread_heap_activity() - before;
+        moves += run.moves;
+    }
+    assert!(moves > 1_200, "dense multi-writer rounds actually ran");
+    assert_eq!(
+        activity, 0,
+        "synchronous DFTNO rounds must stage without clones \
+         ({activity} heap operations observed)"
+    );
 }
 
 #[test]

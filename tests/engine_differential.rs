@@ -11,12 +11,13 @@
 //! every protocol stack, daemon, and topology family.
 //!
 //! Coverage: 4 protocols (`DFTNO`, `STNO`, the raw token circulation, the
-//! raw BFS tree) × 4 daemons × 4 topology families, stepped in five-way
-//! lockstep — the sharded synchronous executor (`SyncSharded`, with its
-//! parallel-threshold pinned to 0 so even these small graphs exercise
-//! the shard-parallel phases) at two geometries — more shards than
-//! threads, and fewer shards than threads — against the node-dirty,
-//! port-dirty, and full-sweep engines — plus a proptest over
+//! raw BFS tree) × 4 daemons × 4 topology families, stepped in six-way
+//! lockstep — the sharded executor (parallel-threshold pinned to 0 so
+//! even these small graphs exercise the shard-parallel phases) on the
+//! port-dirty engine at two geometries — more shards than threads, and
+//! fewer shards than threads — and on the node-dirty engine, against
+//! the serial node-dirty, port-dirty, and full-sweep engines — plus a
+//! proptest over
 //! random networks and seeds asserting equal `RunResult`s and final
 //! configurations.
 //!
@@ -50,9 +51,10 @@ use common::{seed_offsets, topologies, DAEMONS};
 #[global_allocator]
 static ALLOC: testalloc::CountingAlloc = testalloc::CountingAlloc::new();
 
-/// Steps the node-dirty, port-dirty, and sharded-synchronous engines
-/// (at two shard/thread geometries) and the full-sweep reference in
-/// five-way lockstep from identical random configurations and asserts a
+/// Steps the node-dirty and port-dirty engines, serial and sharded (the
+/// port-dirty one at two shard/thread geometries), and the full-sweep
+/// reference in six-way lockstep from identical random configurations
+/// and asserts a
 /// bit-identical trace: enabled set (order included), outcome,
 /// configuration, and counters after every step.
 fn assert_identical_traces<P>(
@@ -65,17 +67,19 @@ fn assert_identical_traces<P>(
 ) where
     P: Protocol + Clone,
 {
-    // The two sharded entries differ only in geometry: more shards than
-    // threads, and fewer shards than threads (idle pool participants).
-    // Both must be indistinguishable from the serial engines.
+    // The sharded port-dirty entries differ only in geometry: more
+    // shards than threads, and fewer shards than threads (idle pool
+    // participants). The sharded node-dirty entry runs the shard-parallel
+    // node re-evaluation even for port-separable protocols. All must be
+    // indistinguishable from the serial engines.
     let configs = [
         (EngineMode::FullSweep, None),
         (EngineMode::NodeDirty, None),
         (EngineMode::PortDirty, None),
-        (EngineMode::SyncSharded, Some((3, 2))),
-        (EngineMode::SyncSharded, Some((4, 8))),
+        (EngineMode::PortDirty, Some((3, 2))),
+        (EngineMode::PortDirty, Some((4, 8))),
+        (EngineMode::NodeDirty, Some((3, 2))),
     ];
-    let modes = configs.map(|(m, _)| m);
     let mut sims: Vec<Simulation<'_, P>> = configs
         .iter()
         .map(|&(m, sharding)| {
@@ -99,7 +103,7 @@ fn assert_identical_traces<P>(
         .collect();
     for step in 0..max_steps {
         let reference = sims[0].enabled_nodes();
-        for (s, m) in sims.iter().zip(modes) {
+        for (s, m) in sims.iter().zip(configs) {
             assert_eq!(
                 s.enabled_nodes(),
                 reference,
@@ -111,7 +115,7 @@ fn assert_identical_traces<P>(
             .zip(daemons.iter_mut())
             .map(|(s, d)| s.step(d))
             .collect();
-        for (o, m) in outcomes.iter().zip(modes).skip(1) {
+        for (o, m) in outcomes.iter().zip(configs).skip(1) {
             assert_eq!(
                 &outcomes[0], o,
                 "{label}: outcome under {m:?} at step {step}"
@@ -121,7 +125,7 @@ fn assert_identical_traces<P>(
             .iter()
             .map(|s| (s.steps(), s.moves(), s.rounds()))
             .collect();
-        for (i, m) in modes.iter().enumerate().skip(1) {
+        for (i, m) in configs.iter().enumerate().skip(1) {
             assert_eq!(
                 sims[0].config(),
                 sims[i].config(),
@@ -202,7 +206,6 @@ fn three_way_lockstep_diffs_clone_counters() {
         EngineMode::FullSweep,
         EngineMode::NodeDirty,
         EngineMode::PortDirty,
-        EngineMode::SyncSharded,
     ];
     let mut results = Vec::new();
     let mut activity = Vec::new();
@@ -219,10 +222,9 @@ fn three_way_lockstep_diffs_clone_counters() {
     }
     assert_eq!(results[0], results[1], "full-sweep vs node-dirty");
     assert_eq!(results[0], results[2], "full-sweep vs port-dirty");
-    assert_eq!(results[0], results[3], "full-sweep vs sync-sharded");
     assert_eq!(
         activity,
-        vec![0, 0, 0, 0],
+        vec![0, 0, 0],
         "warmed-up steps must clone no state in any mode (allocations per 3000 steps)"
     );
 }
@@ -271,7 +273,7 @@ proptest! {
         let mut incremental = Simulation::from_random(&net, Stno::new(BfsSpanningTree), &mut rng);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut reference = Simulation::from_random(&net, Stno::new(BfsSpanningTree), &mut rng);
-        reference.set_full_sweep(true);
+        reference.set_mode(EngineMode::FullSweep);
 
         let mut da = DaemonSpec::CentralRandom.build(&net, seed);
         let mut db = DaemonSpec::CentralRandom.build(&net, seed);
@@ -293,7 +295,7 @@ proptest! {
         let mut incremental = Simulation::from_random(&net, proto.clone(), &mut rng);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut reference = Simulation::from_random(&net, proto, &mut rng);
-        reference.set_full_sweep(true);
+        reference.set_mode(EngineMode::FullSweep);
 
         let mut da = DaemonSpec::Distributed.build(&net, seed);
         let mut db = DaemonSpec::Distributed.build(&net, seed);

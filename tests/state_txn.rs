@@ -10,7 +10,7 @@
 //! * **equivalence** — a proptest drives the in-place engine (all three
 //!   invalidation modes) in lockstep against a reference that replays
 //!   every step through the clone-based `apply_via_clone` shim onto a
-//!   `set_full_sweep` simulation, asserting identical configurations at
+//!   `EngineMode::FullSweep` simulation, asserting identical configurations at
 //!   every step. This is the migration's ground truth: the transaction
 //!   API must be observationally identical to the old
 //!   `apply(&self, view, action) -> State` contract.
@@ -113,7 +113,7 @@ fn scope_resolution_rules() {
     assert_eq!(rec.scope(), TouchScope::Ports(&[Port::new(1)]));
 }
 
-// --- Equivalence: a txn replayed against `set_full_sweep` reproduces
+// --- Equivalence: a txn replayed against a full-sweep simulation reproduces
 // the cloned-`apply` reference states ---
 
 /// Steps `sim` (the in-place engine) with `daemon`, mirroring every
@@ -159,16 +159,16 @@ where
     P: Protocol + Clone,
     P::State: PartialEq + std::fmt::Debug,
 {
-    for mode in [
-        EngineMode::FullSweep,
-        EngineMode::NodeDirty,
-        EngineMode::PortDirty,
-        EngineMode::SyncSharded,
+    for (mode, sharded) in [
+        (EngineMode::FullSweep, false),
+        (EngineMode::NodeDirty, false),
+        (EngineMode::PortDirty, false),
+        (EngineMode::PortDirty, true),
     ] {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sim = Simulation::from_random(net, protocol.clone(), &mut rng);
         sim.set_mode(mode);
-        if mode == EngineMode::SyncSharded {
+        if sharded {
             // Force the shard-parallel phases even on small graphs so
             // the replay covers them, not just the serial fallback.
             sim.configure_sync_sharding(3, 2);
@@ -377,13 +377,12 @@ fn read_free_multi_writer_sync_rounds_perform_zero_state_clones() {
     for (mode, shards, threads) in [
         (EngineMode::NodeDirty, 1, 1),
         (EngineMode::PortDirty, 1, 1),
-        (EngineMode::SyncSharded, 1, 1),
-        (EngineMode::SyncSharded, 4, 2),
+        (EngineMode::PortDirty, 4, 2),
     ] {
         let mut rng = StdRng::seed_from_u64(13);
         let mut sim = Simulation::from_random(&net, LocalCountdown, &mut rng);
         sim.set_mode(mode);
-        if mode == EngineMode::SyncSharded {
+        if shards > 1 {
             sim.configure_sync_sharding(shards, threads);
             sim.set_sync_parallel_threshold(0);
         }

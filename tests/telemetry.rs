@@ -36,27 +36,25 @@ static ALLOC: testalloc::CountingAlloc = testalloc::CountingAlloc::new();
 /// Runs the canonical metered scenario — `HopDistance` on a 3-hub graph
 /// from a seeded random configuration under the synchronous daemon —
 /// and returns the meter.
-fn metered_run(mode: EngineMode, shards: usize, threads: usize) -> CounterMeter {
+fn metered_run(shards: usize, threads: usize) -> CounterMeter {
     let net = Network::new(generators::hubs(24, 3, 1), NodeId::new(0));
     let mut rng = StdRng::seed_from_u64(7);
     let mut sim =
         Simulation::from_random_with_meter(&net, HopDistance, &mut rng, CounterMeter::new());
-    sim.set_mode(mode);
-    if mode == EngineMode::SyncSharded {
-        sim.configure_sync_sharding(shards, threads);
-        sim.set_sync_parallel_threshold(0);
-    }
+    sim.set_mode(EngineMode::PortDirty);
+    sim.configure_sync_sharding(shards, threads);
+    sim.set_sync_parallel_threshold(0);
     let run = sim.run_until_silent(&mut Synchronous, 10_000);
-    assert!(run.converged, "scenario must converge under {mode:?}");
+    assert!(run.converged, "scenario must converge at {shards} shards");
     sim.meter().clone()
 }
 
 #[test]
 fn sync_sharded_counters_are_schedule_independent() {
-    let reference = metered_run(EngineMode::SyncSharded, 1, 1);
+    let reference = metered_run(1, 1);
     for shards in [1, 2, 4, 8] {
         for threads in [1, 2, 4, 8] {
-            let m = metered_run(EngineMode::SyncSharded, shards, threads);
+            let m = metered_run(shards, threads);
             assert_eq!(
                 reference, m,
                 "counters and histograms must be byte-identical at \
@@ -86,12 +84,11 @@ fn per_mode_golden_counters_decompose_the_work() {
     let full = golden_run(EngineMode::FullSweep);
     let node = golden_run(EngineMode::NodeDirty);
     let port = golden_run(EngineMode::PortDirty);
-    let sync = golden_run(EngineMode::SyncSharded);
 
     // The trajectory-derived counters are mode-invariant: every mode
     // computes the identical execution, so commits (= moves) and the
     // enabled-set accounting agree byte-for-byte.
-    for (name, m) in [("node", &node), ("port", &port), ("sync", &sync)] {
+    for (name, m) in [("node", &node), ("port", &port)] {
         assert_eq!(
             m.get(Counter::TxnCommits),
             full.get(Counter::TxnCommits),
@@ -122,20 +119,14 @@ fn per_mode_golden_counters_decompose_the_work() {
     //   full      1224          0           0/0               0
     //   node       228          0         156/156             0
     //   port        48        132           0/0             132
-    //   sync        48        132           0/0             132
     //
     // `FullSweep` re-evaluates all 24 guards every step (1224 ≫ 48 =
     // the port engine's one-time cache build — its step loop performs
     // *zero* whole-node evaluations, paying 132 per-port ones instead).
-    // The sharded executor composes the port-dirty cache with its
-    // shard-parallel phases, so its work profile matches `PortDirty`
-    // exactly (under this single-writer daemon the sharded step
-    // machinery never even engages — the serial port pass runs).
-    let pins: [(&str, &CounterMeter, [u64; 5]); 4] = [
+    let pins: [(&str, &CounterMeter, [u64; 5]); 3] = [
         ("full", &full, [1224, 0, 0, 0, 0]),
         ("node", &node, [228, 0, 156, 156, 0]),
         ("port", &port, [48, 132, 0, 0, 132]),
-        ("sync", &sync, [48, 132, 0, 0, 132]),
     ];
     for (name, m, [guards, ports, pushes, pops, invalidations]) in pins {
         assert_eq!(m.get(Counter::GuardEvals), guards, "{name} guard_evals");
@@ -191,7 +182,6 @@ fn sharded_phase_trace_is_well_formed_chrome_json() {
     let net = Network::new(generators::hubs(24, 3, 1), NodeId::new(0));
     let mut rng = StdRng::seed_from_u64(7);
     let mut sim = Simulation::from_random(&net, HopDistance, &mut rng);
-    sim.set_mode(EngineMode::SyncSharded);
     sim.configure_sync_sharding(4, 4);
     sim.set_sync_parallel_threshold(0);
     sim.set_tracer(TraceBuffer::new());

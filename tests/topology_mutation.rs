@@ -5,7 +5,7 @@
 //! Two layers of guarantee:
 //!
 //! 1. **Mutation-trace lockstep.** The full-sweep reference, node-dirty,
-//!    port-dirty, and sharded-synchronous engines are stepped in
+//!    port-dirty, and sharded port-dirty engines are stepped in
 //!    four-way lockstep while a scheduled sequence of
 //!    [`TopologyEvent`]s — link failure, link appearance, a crash, a
 //!    join — is applied to all four simulations at the same steps. The
@@ -111,7 +111,7 @@ fn derive_event(g: &Graph, bound: usize, k: usize, rng: &mut StdRng) -> Option<T
     }
 }
 
-/// Steps the four engine modes in lockstep from identical random
+/// Steps the four engine configurations in lockstep from identical random
 /// configurations, applying the same derived [`TopologyEvent`] to every
 /// simulation at each scheduled step, and asserts a bit-identical trace
 /// throughout — plus, after every event, that each mode's incrementally
@@ -127,19 +127,21 @@ fn assert_mutation_lockstep<P>(
 ) where
     P: Protocol + Clone,
 {
+    // (mode, sharded): the sharded port-dirty leg runs 3 shards on 2
+    // threads.
     let modes = [
-        EngineMode::FullSweep,
-        EngineMode::NodeDirty,
-        EngineMode::PortDirty,
-        EngineMode::SyncSharded,
+        (EngineMode::FullSweep, false),
+        (EngineMode::NodeDirty, false),
+        (EngineMode::PortDirty, false),
+        (EngineMode::PortDirty, true),
     ];
     let mut sims: Vec<Simulation<'_, P>> = modes
         .iter()
-        .map(|&m| {
+        .map(|&(m, sharded)| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut s = Simulation::from_random(net, protocol.clone(), &mut rng);
             s.set_mode(m);
-            if m == EngineMode::SyncSharded {
+            if sharded {
                 // Force the shard-parallel phases even at these sizes.
                 s.configure_sync_sharding(3, 2);
                 s.set_sync_parallel_threshold(0);
