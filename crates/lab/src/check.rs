@@ -609,15 +609,16 @@ fn render_properties(cert: &Certificate) -> String {
 }
 
 /// Runs a parsed `sno-lab check` invocation, printing per-cell verdict
-/// blocks (and a states/second telemetry figure — stdout only, never
-/// JSON). Returns the process exit code: `0` when every verdict matches
+/// blocks (and a states/second telemetry figure — never JSON) to `out`.
+/// Returns the process exit code: `0` when every verdict matches
 /// (suite) or every property holds (single cell), `1` otherwise.
-pub fn run_check_command(args: &CheckArgs) -> i32 {
+pub fn run_check_command(args: &CheckArgs, out: &mut dyn std::fmt::Write) -> i32 {
     let threads = args.threads.unwrap_or_else(sno_fleet::default_threads);
     let pool = WorkerPool::new(threads);
     let mut options = args.options;
     options.threads = threads;
-    println!(
+    let _ = writeln!(
+        out,
         "sno-check | threads: {} | shards: {} | budget: {}",
         threads, options.shards, options.fault_budget
     );
@@ -637,11 +638,12 @@ pub fn run_check_command(args: &CheckArgs) -> i32 {
                     return 1;
                 }
             };
-            println!(
+            let _ = writeln!(
+                out,
                 "{}",
                 render_cell_header(&cell, &cert, started.elapsed().as_secs_f64())
             );
-            print!("{}", render_properties(&cert));
+            let _ = out.write_str(&render_properties(&cert));
             let got: Vec<bool> = cert.properties.iter().map(|p| p.holds).collect();
             if got != sc.expect {
                 mismatches.push(format!(
@@ -656,10 +658,14 @@ pub fn run_check_command(args: &CheckArgs) -> i32 {
                 eprintln!("error: cannot write suite JSON to `{path}`: {e}");
                 return 1;
             }
-            println!("suite certificates written to {path}");
+            let _ = writeln!(out, "suite certificates written to {path}");
         }
         if mismatches.is_empty() {
-            println!("cert-suite: {} cells, all verdicts as pinned", certs.len());
+            let _ = writeln!(
+                out,
+                "cert-suite: {} cells, all verdicts as pinned",
+                certs.len()
+            );
             0
         } else {
             for m in &mismatches {
@@ -684,17 +690,18 @@ pub fn run_check_command(args: &CheckArgs) -> i32 {
                 return 1;
             }
         };
-        println!(
+        let _ = writeln!(
+            out,
             "{}",
             render_cell_header(cell, &cert, started.elapsed().as_secs_f64())
         );
-        print!("{}", render_properties(&cert));
+        let _ = out.write_str(&render_properties(&cert));
         if let Some(path) = &args.json {
             if let Err(e) = std::fs::write(path, cert.to_json()) {
                 eprintln!("error: cannot write certificate to `{path}`: {e}");
                 return 1;
             }
-            println!("certificate written to {path}");
+            let _ = writeln!(out, "certificate written to {path}");
         }
         i32::from(!cert.all_hold())
     }

@@ -15,6 +15,7 @@
 //! Parsing lives here (not in the binary) so it is unit-testable; the
 //! `sno-lab` binary is a thin `main` over [`main_with_args`].
 
+use std::fmt::Write as _;
 use std::str::FromStr;
 
 use sno_graph::GeneratorSpec;
@@ -455,7 +456,6 @@ fn parse_check(args: &[String]) -> Result<Command, String> {
 
 /// The coordinate listing printed by `sno-lab list`.
 pub fn coordinate_listing() -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "topologies (parameterized families accept `name:K`):");
     for t in GeneratorSpec::PRESETS {
@@ -498,6 +498,30 @@ pub fn coordinate_listing() -> String {
     out
 }
 
+/// Standard output for the report text. A failed write ends the text
+/// instead of panicking: a closed pipe (`sno-lab run … | head -1`)
+/// quietly, any other error with one line on stderr. The side artifacts
+/// (`--json`, `--trace`) are still written, and the exit code reports
+/// them and the run alone.
+struct ReportOut {
+    open: bool,
+}
+
+impl std::fmt::Write for ReportOut {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        use std::io::Write as _;
+        if self.open {
+            if let Err(e) = std::io::stdout().write_all(s.as_bytes()) {
+                if e.kind() != std::io::ErrorKind::BrokenPipe {
+                    eprintln!("error: cannot write to stdout: {e}");
+                }
+                self.open = false;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Parses `args`, runs the requested command, prints its output, and
 /// returns the process exit code. The `sno-lab` binary delegates here.
 pub fn main_with_args(args: &[String]) -> i32 {
@@ -508,16 +532,17 @@ pub fn main_with_args(args: &[String]) -> i32 {
             return 2;
         }
     };
+    let mut out = ReportOut { open: true };
     match cmd {
         Command::Help => {
-            print!("{USAGE}");
+            let _ = out.write_str(USAGE);
             0
         }
         Command::List => {
-            print!("{}", coordinate_listing());
+            let _ = out.write_str(&coordinate_listing());
             0
         }
-        Command::Check(check) => crate::check::run_check_command(&check),
+        Command::Check(check) => crate::check::run_check_command(&check, &mut out),
         Command::Run(run) => {
             let threads = run.threads.unwrap_or_else(sno_fleet::default_threads);
             // Cross-mode campaign diffs in CI compare these reports; the
@@ -546,15 +571,15 @@ pub fn main_with_args(args: &[String]) -> i32 {
             if let Some(path) = &run.trace {
                 header.push_str(&format!(" | trace: {path}"));
             }
-            println!("{header}");
+            let _ = writeln!(out, "{header}");
             let report = run_campaign_with_options(&run.matrix, threads, &run.engine);
-            print!("{}", report.to_markdown());
+            let _ = out.write_str(&report.to_markdown());
             if let Some(path) = run.json {
                 if let Err(e) = report.write_json(&path) {
                     eprintln!("error: cannot write campaign JSON to `{path}`: {e}");
                     return 1;
                 }
-                println!("campaign JSON written to {path}");
+                let _ = writeln!(out, "campaign JSON written to {path}");
             }
             if let Some(path) = run.trace {
                 let doc = trace_first_cell(&run.matrix, &run.engine)
@@ -563,7 +588,7 @@ pub fn main_with_args(args: &[String]) -> i32 {
                     eprintln!("error: cannot write trace to `{path}`: {e}");
                     return 1;
                 }
-                println!("phase trace written to {path}");
+                let _ = writeln!(out, "phase trace written to {path}");
             }
             0
         }

@@ -169,8 +169,32 @@ impl FromStr for DaemonSpec {
 /// dynamic-topology fault ([`sno_engine::TopologyEvent`]s scheduled by
 /// the runner).
 ///
+/// Every plan runs the same schedule: **segment A** converges from an
+/// arbitrary configuration, then the plan's **windows** each perturb
+/// the run and re-converge, stopping at the first window that fails to
+/// re-converge. Windows run only if segment A converged, except for the
+/// step-scheduled (`@S`) plans, whose single window fires at step `S`
+/// whether or not A has converged by then. `max_steps` is the matrix's
+/// per-phase step budget.
+///
+/// | plan | segment A runs up to | windows | perturbation | record totals span | `recovery` | `detection` |
+/// |---|---|---|---|---|---|---|
+/// | `none` | `max_steps` | 0 | — | A | `None` | `None` |
+/// | `hit:K` | `max_steps` | 1 | corrupt `K` processors | A | `Some` iff A converged | `None` |
+/// | `hit:K@S` | `min(S, max_steps)` | 1 | corrupt `K` processors | A + recovery | always `Some` | `None` |
+/// | `link-fail@S`, `link-add@S`, `node-crash@S`, `node-join@S` | `min(S, max_steps)` | 1 | the topology event | A + recovery | always `Some` | `None` |
+/// | `churn:R:SEED` | `max_steps` | `R` | add a link, fail a non-bridge link | A | `Some` iff A converged | `None` |
+/// | `churn-any:R:SEED` | `max_steps` | `R` | add a link, fail any link | A | `Some` iff A converged | `Some` iff A converged and the stack has a probe |
+///
+/// For the step-scheduled plans the record's `converged` is the
+/// recovery verdict; for every other plan it is segment A's. Recovery
+/// totals sum every window that ran. A `churn-any` window first runs a
+/// detection phase (until every severed processor's detector flags the
+/// cut); its steps count into the window's recovery totals, and
+/// `detection` sums them over the windows.
+///
 /// Topology-mutating plans are restricted to fully self-stabilizing
-/// stacks (`stno/bfs-tree`, `stno/cd-dfs-tree`): oracle substrates and
+/// stacks (`stno/bfs-tree`, `stno/cd-dfs-tree`, `dcd`): oracle substrates and
 /// `DFTNO`'s golden-orientation goal are precomputed from the initial
 /// graph and would silently go stale under mutation —
 /// [`ScenarioMatrix::validate`](crate::ScenarioMatrix::validate) rejects
@@ -181,15 +205,14 @@ pub enum FaultPlan {
     /// initial configuration only.
     None,
     /// After convergence, corrupt this many uniformly chosen processors
-    /// with arbitrary states and measure re-convergence (the recovery
-    /// phase appears as `recovery_*` statistics in reports).
+    /// with arbitrary states and measure re-convergence.
     AfterConvergence {
         /// Number of processors hit (capped at the network size).
         hits: u8,
     },
     /// Mid-run corruption: after `step` daemon selections (or at
     /// convergence, whichever comes first), corrupt `hits` uniformly
-    /// chosen processors; the post-fault phase is reported as recovery.
+    /// chosen processors.
     AtStep {
         /// Daemon selections before the hit.
         step: u32,
@@ -222,9 +245,8 @@ pub enum FaultPlan {
         /// Daemon selections before the arrival.
         step: u32,
     },
-    /// Churn: after convergence, `rate` consecutive perturbations (each
-    /// adds an absent link and fails a non-bridge link), re-converging
-    /// after each; recovery statistics aggregate all windows.
+    /// Churn: after convergence, `rate` consecutive perturbations, each
+    /// adding an absent link and failing a non-bridge link.
     Churn {
         /// Number of perturbation windows per run.
         rate: u8,
@@ -235,10 +257,7 @@ pub enum FaultPlan {
     /// link is drawn from **all** links — bridges included — so a window
     /// may disconnect processors from the root. Restricted to the
     /// disconnection-aware [`ProtocolSpec::Dcd`] stack (every other
-    /// stack's specification presumes a connected rooted network);
-    /// each window additionally measures the *detection latency* — the
-    /// daemon steps until every severed processor's detector flags the
-    /// disconnection.
+    /// stack's specification presumes a connected rooted network).
     ChurnAny {
         /// Number of perturbation windows per run.
         rate: u8,
@@ -268,6 +287,30 @@ impl FaultPlan {
     /// reachability by construction).
     pub fn may_disconnect(&self) -> bool {
         matches!(self, FaultPlan::ChurnAny { .. })
+    }
+
+    /// The step `S` of a step-scheduled plan (`hit:K@S`, `link-fail@S`,
+    /// `link-add@S`, `node-crash@S`, `node-join@S`), whose single window
+    /// fires after segment A's first `S` daemon selections.
+    pub(crate) fn scheduled_step(&self) -> Option<u32> {
+        match *self {
+            FaultPlan::AtStep { step, .. }
+            | FaultPlan::LinkFail { step }
+            | FaultPlan::LinkAdd { step }
+            | FaultPlan::NodeCrash { step }
+            | FaultPlan::NodeJoin { step } => Some(step),
+            _ => None,
+        }
+    }
+
+    /// The number of perturb-and-re-converge windows a run gets after
+    /// segment A (see the table above).
+    pub(crate) fn windows(&self) -> u32 {
+        match *self {
+            FaultPlan::None => 0,
+            FaultPlan::Churn { rate, .. } | FaultPlan::ChurnAny { rate, .. } => u32::from(rate),
+            _ => 1,
+        }
     }
 
     /// How many processors beyond the instantiated topology the network
@@ -425,6 +468,20 @@ mod tests {
         assert!(!FaultPlan::Churn { rate: 2, seed: 0 }.may_disconnect());
         assert_eq!(FaultPlan::NodeJoin { step: 5 }.join_headroom(), 1);
         assert_eq!(FaultPlan::Churn { rate: 2, seed: 0 }.join_headroom(), 0);
+        assert_eq!(FaultPlan::None.windows(), 0);
+        assert_eq!(FaultPlan::AfterConvergence { hits: 3 }.windows(), 1);
+        assert_eq!(FaultPlan::NodeCrash { step: 7 }.windows(), 1);
+        assert_eq!(FaultPlan::ChurnAny { rate: 5, seed: 0 }.windows(), 5);
+        assert_eq!(
+            FaultPlan::AtStep { step: 9, hits: 1 }.scheduled_step(),
+            Some(9)
+        );
+        assert_eq!(FaultPlan::LinkAdd { step: 4 }.scheduled_step(), Some(4));
+        assert_eq!(
+            FaultPlan::AfterConvergence { hits: 1 }.scheduled_step(),
+            None
+        );
+        assert_eq!(FaultPlan::Churn { rate: 2, seed: 0 }.scheduled_step(), None);
     }
 
     #[test]
